@@ -54,9 +54,10 @@ pub const REPS: usize = 3;
 pub const SLOW_FACTOR: usize = 8;
 
 /// The view both passes maintain (text registration, so the planner and
-/// EWMA paths are on the measured path too).
+/// EWMA paths are on the measured path too). The movie tuple is
+/// `⟨name, gen, dir⟩` and projections are 1-based: `x.2` is the genre.
 const VIEW_NAME: &str = "hot";
-const VIEW_SRC: &str = "for x in M where x.1 == \"genre0\" union sng(x)";
+const VIEW_SRC: &str = "for x in M where x.2 == \"genre0\" union sng(x)";
 
 /// Post-ingest timed reads of the demo (populates `serve.read.ns`).
 const DEMO_READS: usize = 256;
@@ -119,6 +120,9 @@ pub struct ObsReport {
     pub slowest_trace_total_us: f64,
     /// The slowest trace's per-stage timeline.
     pub slowest_stages: Vec<StageRow>,
+    /// Cardinality of the maintained view after the demo ingest (0 would
+    /// mean instrumentation was priced on a view that never changes).
+    pub view_cardinality: u64,
     /// Every timed replay.
     pub passes: Vec<ObsPass>,
 }
@@ -189,6 +193,7 @@ struct DemoOutcome {
     slowest_trace_index: u64,
     slowest_trace_total_us: f64,
     slowest_stages: Vec<StageRow>,
+    view_cardinality: u64,
     metrics_exported: usize,
     layers_covered: Vec<String>,
 }
@@ -244,8 +249,9 @@ fn demo(plan: &RecoveryPlan, nbatches: usize) -> DemoOutcome {
     // covers them: an explicit checkpoint and a burst of timed reads.
     sys.checkpoint_now().expect("checkpoint");
     let mut reader = sys.reader();
+    let mut view_cardinality = 0;
     for _ in 0..DEMO_READS {
-        let _ = reader.cardinality(VIEW_NAME).expect("timed read");
+        view_cardinality = reader.cardinality(VIEW_NAME).expect("timed read");
         let _ = reader.scan(VIEW_NAME, 16).expect("timed read");
     }
     let slowest = traces
@@ -283,6 +289,7 @@ fn demo(plan: &RecoveryPlan, nbatches: usize) -> DemoOutcome {
         slowest_trace_index,
         slowest_trace_total_us,
         slowest_stages,
+        view_cardinality,
         metrics_exported,
         layers_covered,
     }
@@ -346,6 +353,7 @@ pub fn measure(quick: bool) -> ObsReport {
         slowest_trace_index: d.slowest_trace_index,
         slowest_trace_total_us: d.slowest_trace_total_us,
         slowest_stages: d.slowest_stages,
+        view_cardinality: d.view_cardinality,
         passes,
     }
 }
@@ -419,8 +427,16 @@ pub fn write_metrics_snapshot(path: &str) -> std::io::Result<()> {
 mod tests {
     use super::*;
 
+    /// `measure` owns process-wide state (the obs switch, the flight
+    /// recorder, scratch directories named by pid): one at a time.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     #[test]
     fn overhead_passes_cover_both_sides_and_snapshot_covers_all_layers() {
+        let _serial = serial();
         let report = measure(true);
         assert_eq!(report.passes.len(), 2 * REPS);
         assert!(report.ingest_min_us_disabled > 0.0);
@@ -439,10 +455,15 @@ mod tests {
             );
         }
         assert!(report.metrics_exported >= 20, "{report:?}");
+        assert!(
+            report.view_cardinality > 0,
+            "the measured view is empty after ingest: {report:?}"
+        );
     }
 
     #[test]
     fn flight_recorder_isolates_the_injected_slow_batch() {
+        let _serial = serial();
         let report = measure(true);
         assert!(report.slow_batch_index > 0);
         assert_eq!(

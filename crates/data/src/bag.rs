@@ -26,9 +26,11 @@
 //!   allocation, branch-predictable linear merges) for bags of at most
 //!   [`Bag::SMALL_TIER_MAX`] distinct elements: the transient deltas and
 //!   modest view states every hot engine path is made of;
-//! * **Tree** — the shared `Arc<VidMap<i64>>` (copy-on-write `BTreeMap`)
-//!   for large persistent state, where `O(log n)` point upserts beat
-//!   rebuilding a long run.
+//! * **Tree** — a `VidMap<i64>`, the crate's persistent (path-copying)
+//!   B+tree, for large persistent state, where `O(log n)` point upserts
+//!   beat rebuilding a long run. Clones share every node; a write into a
+//!   bag that a clone still shares copies only the root-to-leaf paths it
+//!   touches (`O(|Δ| log n)` entries), never the map.
 //!
 //! Both tiers maintain the same canonical form (strictly ascending keys, no
 //! zero multiplicities), so `Eq`/`Ord`/`Hash` and iteration order are
@@ -64,24 +66,27 @@ fn count_tier_promotion() {
 }
 
 /// The two physical representations of a bag (see the module docs): a
-/// columnar sorted run for small/transient bags, a shared copy-on-write
-/// tree for large persistent state. Canonical form is identical in both.
+/// columnar sorted run for small/transient bags, a persistent
+/// (path-copying) tree for large persistent state. Canonical form is
+/// identical in both.
 enum Repr {
     Small(SortedVidRun),
-    Tree(Arc<VidMap<i64>>),
+    Tree(VidMap<i64>),
 }
 
 /// A generalized bag of [`Value`]s.
 ///
 /// Internally a sorted collection of interned element ids with non-zero
 /// multiplicities, in one of two tiers (see the module docs): a columnar
-/// sorted run below [`Bag::SMALL_TIER_MAX`] distinct elements, a shared
-/// copy-on-write tree above it. Both give canonical representation and
+/// sorted run below [`Bag::SMALL_TIER_MAX`] distinct elements, a persistent
+/// path-copying tree above it. Both give canonical representation and
 /// deterministic iteration (identical to the seed's value-keyed order —
 /// `Ord` on [`Vid`] refines the canonical `Ord` on [`Value`]). Cloning a
 /// tree-tier bag (e.g. binding relations into evaluation environments, or
-/// snapshotting the database before an update) is an `O(1)` `Arc` bump;
-/// cloning a small bag is one flat memcpy plus a dense retain pass.
+/// snapshotting the database before an update) is an `O(1)` `Arc` bump of
+/// the tree's root, and the next write into either copy unshares only the
+/// nodes on its path; cloning a small bag is one flat memcpy plus a dense
+/// retain pass.
 ///
 /// The element keys participate in arena reclamation: both tiers retain
 /// each key's arena slot while present and release it on removal/drop,
@@ -101,16 +106,17 @@ pub struct Ids<'a> {
 
 enum IdsInner<'a> {
     Small(std::slice::Iter<'a, (Vid, i64)>),
-    Tree(std::collections::btree_map::Iter<'a, Vid, i64>),
+    Tree(crate::livemap::Iter<'a, i64>),
 }
 
 impl Iterator for Ids<'_> {
     type Item = (Vid, i64);
 
+    #[inline]
     fn next(&mut self) -> Option<(Vid, i64)> {
         match &mut self.inner {
             IdsInner::Small(it) => it.next().copied(),
-            IdsInner::Tree(it) => it.next().map(|(&id, &m)| (id, m)),
+            IdsInner::Tree(it) => it.next().map(|(id, &m)| (id, m)),
         }
     }
 
@@ -188,8 +194,8 @@ impl Bag {
     /// merges are linear, branch-predictable walks and the arena retains of
     /// an operation batch into one pass over the key-set delta. Past it the
     /// bag promotes (once, by retain transfer — bags never demote) to the
-    /// shared copy-on-write tree, where `O(log n)` point upserts beat
-    /// rebuilding a long run and clones are `O(1)` `Arc` bumps.
+    /// persistent tree, where `O(log n)` point upserts beat rebuilding a
+    /// long run and clones are `O(1)` `Arc` bumps.
     pub const SMALL_TIER_MAX: usize = 512;
 
     /// The empty bag `∅`.
@@ -221,7 +227,7 @@ impl Bag {
                 intern::retain(id);
             }
             Bag {
-                repr: Repr::Tree(Arc::new(VidMap::from_retained_sorted(pairs))),
+                repr: Repr::Tree(VidMap::from_retained_sorted(pairs)),
             }
         }
     }
@@ -233,7 +239,7 @@ impl Bag {
             if run.len() > Bag::SMALL_TIER_MAX {
                 count_tier_promotion();
                 let pairs = std::mem::take(run).into_retained_pairs();
-                self.repr = Repr::Tree(Arc::new(VidMap::from_retained_sorted(pairs)));
+                self.repr = Repr::Tree(VidMap::from_retained_sorted(pairs));
             }
         }
     }
@@ -299,13 +305,7 @@ impl Bag {
                 self.maybe_promote();
                 Ok(())
             }
-            Repr::Tree(map) => Arc::make_mut(map).upsert_with(id, |current| match current {
-                None => Ok(Some(mult)),
-                Some(&m) => {
-                    let new = m.checked_add(mult).ok_or(DataError::Overflow { op: "⊎" })?;
-                    Ok((new != 0).then_some(new))
-                }
-            }),
+            Repr::Tree(map) => tree_insert(map, id, mult),
         }
     }
 
@@ -319,7 +319,7 @@ impl Bag {
     pub fn multiplicity_id(&self, id: Vid) -> i64 {
         match &self.repr {
             Repr::Small(run) => run.get(id).unwrap_or(0),
-            Repr::Tree(map) => map.get(&id).copied().unwrap_or(0),
+            Repr::Tree(map) => map.get(id).copied().unwrap_or(0),
         }
     }
 
@@ -366,6 +366,7 @@ impl Bag {
     /// Iterate over `(id, multiplicity)` pairs in canonical order — the
     /// id-native sibling of [`Bag::iter`] (no resolution, `Copy` items).
     /// Both tiers yield the identical sequence for equal bags.
+    #[inline]
     pub fn ids(&self) -> Ids<'_> {
         Ids {
             inner: match &self.repr {
@@ -434,7 +435,6 @@ impl Bag {
                 Ok(())
             }
             Repr::Tree(map) => {
-                let map = Arc::make_mut(map);
                 for (id, m) in other.ids() {
                     let scaled = m
                         .checked_mul(k)
@@ -469,7 +469,6 @@ impl Bag {
                     .expect("bag multiplicity overflow in ⊎");
             }
             Repr::Tree(map) => {
-                let map = Arc::make_mut(map);
                 for (id, m) in run {
                     tree_insert(map, id, m).expect("bag multiplicity overflow in ⊎");
                 }
@@ -636,7 +635,7 @@ impl Clone for Bag {
         Bag {
             repr: match &self.repr {
                 Repr::Small(run) => Repr::Small(run.clone()),
-                Repr::Tree(map) => Repr::Tree(Arc::clone(map)),
+                Repr::Tree(map) => Repr::Tree(map.clone()),
             },
         }
     }
@@ -646,14 +645,13 @@ impl Clone for Bag {
 // sequence, which both tiers produce identically — so a small bag and a
 // tree bag of equal contents are fully interchangeable (including as
 // interned `Value::Bag` keys and dictionary definitions). The definitions
-// coincide with the previous derived ones over `BTreeMap<Vid, i64>`
-// (lexicographic iterator comparison of `(key, value)` pairs; length-then-
-// entries hashing).
+// are those of a `BTreeMap<Vid, i64>` (lexicographic iterator comparison
+// of `(key, value)` pairs; length-then-entries hashing).
 
 impl PartialEq for Bag {
     fn eq(&self, other: &Bag) -> bool {
         if let (Repr::Tree(a), Repr::Tree(b)) = (&self.repr, &other.repr) {
-            if Arc::ptr_eq(a, b) {
+            if a.ptr_eq(b) {
                 return true;
             }
         }

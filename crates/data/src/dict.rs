@@ -26,7 +26,6 @@ use crate::livemap::VidMap;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// A label `⟨ι, ε⟩`: a static index `ι` identifying the `sng` occurrence (or
 /// input inner bag family) that created it, paired with the value assignment
@@ -90,13 +89,15 @@ impl fmt::Display for Label {
 /// *is* membership in the support (`supp`), so `[l ↦ ∅]` is representable
 /// and distinct from `[]`. Iteration stays in canonical label order (`Ord`
 /// on [`Vid`] refines `Ord` on `Label`).
-/// Like [`Bag`], the entry map is reference-counted with copy-on-write
-/// semantics, so snapshotting shredded stores is cheap; and like `Bag`'s,
-/// the key set participates in arena reclamation (label slots are retained
-/// while in a support, released when dropped — see the crate's `VidMap`).
+/// Like a tree-tier [`Bag`], the entry map is the crate's persistent
+/// (path-copying) `VidMap`: a clone shares every node, so snapshotting
+/// shredded stores is `O(1)`, and the next write into a shared dictionary
+/// copies only the path to the label it touches. Like `Bag`'s, the key set
+/// participates in arena reclamation (label slots are retained while in a
+/// support, released when dropped).
 #[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Dictionary {
-    entries: Arc<VidMap<Bag>>,
+    entries: VidMap<Bag>,
 }
 
 impl Dictionary {
@@ -135,7 +136,7 @@ impl Dictionary {
             matches!(l.value(), Value::Label(_)),
             "dictionary key {l:?} does not resolve to a label"
         );
-        Arc::make_mut(&mut self.entries).insert(l, bag);
+        self.entries.insert(l, bag);
     }
 
     /// Add `bag` into the definition of `l` via `⊎`, defining it if absent.
@@ -150,9 +151,8 @@ impl Dictionary {
             matches!(l.value(), Value::Label(_)),
             "dictionary key {l:?} does not resolve to a label"
         );
-        Arc::make_mut(&mut self.entries)
-            .or_default_mut(l)
-            .union_assign(bag);
+        self.entries
+            .update_or_default(l, |definition| definition.union_assign(bag));
     }
 
     /// The interned id of `l`, if its support could ever contain it (labels
@@ -163,17 +163,17 @@ impl Dictionary {
 
     /// Is `l` in the support?
     pub fn defines(&self, l: &Label) -> bool {
-        Self::label_id(l).is_some_and(|id| self.entries.contains_key(&id))
+        Self::label_id(l).is_some_and(|id| self.entries.contains_key(id))
     }
 
     /// Look up the definition of `l`; `None` when `l ∉ supp`.
     pub fn get(&self, l: &Label) -> Option<&Bag> {
-        self.entries.get(&Self::label_id(l)?)
+        self.entries.get(Self::label_id(l)?)
     }
 
     /// Id-native [`Dictionary::get`].
     pub fn get_id(&self, l: Vid) -> Option<&Bag> {
-        self.entries.get(&l)
+        self.entries.get(l)
     }
 
     /// Look up the definition of `l`, erroring on undefined labels (a
@@ -202,7 +202,7 @@ impl Dictionary {
 
     /// Iterate over the support in canonical order.
     pub fn support(&self) -> impl Iterator<Item = &Label> {
-        self.entries.keys().map(|id| id.as_label())
+        self.entries.iter().map(|(id, _)| id.as_label())
     }
 
     /// Iterate over `(label, definition)` pairs in canonical order.
@@ -213,13 +213,13 @@ impl Dictionary {
     /// Iterate over `(label id, definition)` pairs in canonical order — the
     /// id-native sibling of [`Dictionary::iter`].
     pub fn entry_ids(&self) -> impl Iterator<Item = (Vid, &Bag)> {
-        self.entries.iter().map(|(&id, b)| (id, b))
+        self.entries.iter()
     }
 
     /// The smallest label id in the support, if any (the interner's rank
     /// seed for dictionaries-as-values).
     pub(crate) fn first_label_id(&self) -> Option<Vid> {
-        self.entries.keys().next().copied()
+        self.entries.iter().next().map(|(id, _)| id)
     }
 
     /// Dictionary addition `⊎`: pointwise bag addition, support union.
@@ -239,9 +239,9 @@ impl Dictionary {
         if other.is_empty() {
             return;
         }
-        let entries = Arc::make_mut(&mut self.entries);
         for (id, b) in other.entry_ids() {
-            entries.or_default_mut(id).union_assign(b);
+            self.entries
+                .update_or_default(id, |definition| definition.union_assign(b));
         }
     }
 
@@ -259,7 +259,6 @@ impl Dictionary {
         // Stable sort keeps each label's deltas in arrival order; equal
         // labels become one contiguous group.
         contribs.sort_by_key(|&(id, _)| id);
-        let entries = Arc::make_mut(&mut self.entries);
         let mut at = 0;
         while at < contribs.len() {
             let (id, first) = contribs[at];
@@ -267,14 +266,16 @@ impl Dictionary {
             while end < contribs.len() && contribs[end].0 == id {
                 end += 1;
             }
-            let entry = entries.or_default_mut(id);
-            if end - at == 1 {
-                entry.union_assign(first);
-            } else {
-                *entry = Bag::union_many(
-                    std::iter::once(&*entry).chain(contribs[at..end].iter().map(|&(_, b)| b)),
-                );
-            }
+            let group = &contribs[at..end];
+            self.entries.update_or_default(id, |entry| {
+                if group.len() == 1 {
+                    entry.union_assign(first);
+                } else {
+                    *entry = Bag::union_many(
+                        std::iter::once(&*entry).chain(group.iter().map(|&(_, b)| b)),
+                    );
+                }
+            });
             at = end;
         }
     }
@@ -283,12 +284,11 @@ impl Dictionary {
     #[must_use = "`negate` returns a new dictionary and leaves `self` unchanged"]
     pub fn negate(&self) -> Dictionary {
         Dictionary {
-            entries: Arc::new(
-                self.entries
-                    .iter()
-                    .map(|(&id, b)| (id, b.negate()))
-                    .collect(),
-            ),
+            entries: self
+                .entries
+                .iter()
+                .map(|(id, b)| (id, b.negate()))
+                .collect(),
         }
     }
 
@@ -300,12 +300,9 @@ impl Dictionary {
             return Ok(self.clone());
         }
         let mut out = self.clone();
-        let entries = Arc::make_mut(&mut out.entries);
         for (id, b) in other.entry_ids() {
-            match entries.get(&id) {
-                None => {
-                    entries.insert(id, b.clone());
-                }
+            match out.entries.get(id) {
+                None => out.entries.insert(id, b.clone()),
                 // Id-keyed bags compare shallowly (`Vid` equality per
                 // entry), so the §5.2 agreement check is cheap.
                 Some(existing) if existing == b => {}
@@ -323,12 +320,12 @@ impl Dictionary {
     /// garbage-collect definitions whose labels no longer occur in any flat
     /// view).
     pub fn retain<F: FnMut(&Label) -> bool>(&mut self, mut keep: F) {
-        Arc::make_mut(&mut self.entries).retain_entries(|id, _| keep(id.as_label()));
+        self.entries.retain_entries(|id, _| keep(id.as_label()));
     }
 
     /// Total cardinality of all definitions (sum of absolute multiplicities).
     pub fn total_cardinality(&self) -> u64 {
-        self.entries.values().map(Bag::cardinality).sum()
+        self.entries.iter().map(|(_, b)| b.cardinality()).sum()
     }
 }
 

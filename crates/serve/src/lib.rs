@@ -10,10 +10,16 @@
 //!
 //! The pieces were already on the shelf; this crate assembles them:
 //!
-//! * **Cheap snapshots** — bags and dictionaries are `Arc`-backed
-//!   copy-on-write maps, so freezing every registered view is O(views)
-//!   pointer bumps ([`nrc_engine::IvmSystem::view_state`]); the writer's
-//!   next batch mutates fresh copies, never a published snapshot's maps.
+//! * **Cheap snapshots, cheap writes under them** — large bags and
+//!   dictionaries are persistent (path-copying) B+trees of `Arc`-shared
+//!   nodes. The cost model has two halves. *Freezing* every registered
+//!   view is O(views) root-pointer bumps
+//!   ([`nrc_engine::IvmSystem::view_state`]). The writer's *next write*
+//!   into a frozen `n`-key view copies the root-to-leaf paths it touches —
+//!   O(|Δ| log n) entries copied and re-retained in the arena, never
+//!   O(n) — and leaves every other node shared with the snapshot, which is
+//!   never written through. A reader that moves to a newer snapshot
+//!   releases only the nodes the two do not share.
 //! * **Pinned reclamation** — each [`Snapshot`] holds an
 //!   [`nrc_data::EpochPin`], so the collector's horizon (the *pin
 //!   horizon*, [`nrc_data::intern::pin_horizon`]) never passes the oldest

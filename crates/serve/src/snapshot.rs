@@ -1,19 +1,30 @@
 //! Immutable, internally consistent snapshots and their publication cell.
 //!
 //! A [`Snapshot`] freezes the state of every registered view at one
-//! quiescent batch boundary. Thanks to the copy-on-write data layer it is
-//! cheap to take — per view an `Arc` pointer bump of the materialized bag
-//! (plus, for shredded views, of the context dictionaries) — and safe to
-//! read from any thread while the writer keeps ingesting: later batches
-//! mutate fresh copies, never the maps a published snapshot shares.
+//! quiescent batch boundary. It is cheap to take — per view an `Arc`
+//! bump of the materialized bag's root node (plus, for shredded views, of
+//! the context dictionaries') — and safe to read from any thread while the
+//! writer keeps ingesting.
+//!
+//! What a snapshot costs the writer *afterwards* is the other half of the
+//! cost model. A tree-tier bag or dictionary is a persistent B+tree
+//! (`nrc_data`'s `livemap`): leaves hold sorted `(id, value)` runs and own
+//! one arena retain per key; branches hold `(separator, child)` pairs,
+//! each separator a copy of the largest key in its child's subtree, kept
+//! live by that subtree's leaf. The first write into a frozen `n`-key view
+//! copies only the nodes on the root-to-leaf paths it touches — `O(|Δ|
+//! log n)` entries copied and re-retained, never `O(n)` — and shared nodes
+//! are never mutated, so the snapshot keeps reading exactly what it froze.
+//! Dropping a snapshot releases the nodes no newer state shares, which is
+//! also all a reader pays to move from one snapshot to the next.
 //!
 //! Two mechanisms keep a snapshot's contents *resolvable* (never
 //! [`nrc_data::DataError::StaleVid`]) for its whole lifetime, however much
 //! bounded GC runs concurrently:
 //!
-//! 1. the snapshot's `Arc`'d maps retain every interned element they key on
-//!    — a retained slot's live count can never reach zero, so no sweep
-//!    frees it;
+//! 1. the leaves reachable from the snapshot's roots retain every interned
+//!    element they key on — a retained slot's live count can never reach
+//!    zero, so no sweep frees it;
 //! 2. the snapshot holds an [`EpochPin`] taken at publication, so the
 //!    collector's horizon can never pass the snapshot's epoch — the *pin
 //!    horizon* ([`nrc_data::intern::pin_horizon`]) equals the oldest
