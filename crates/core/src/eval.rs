@@ -11,8 +11,9 @@
 //! assignment), so they do not evaluate to an extensional [`Dictionary`]
 //! directly. Instead context-typed expressions resolve to a [`CtxVal`] —
 //! a tree of extensional and *intensional* (closure) dictionaries — which is
-//! applied label-by-label ([`apply_dict`]) or materialized against a
-//! requested label domain by the shredded executor (`crate::shred::exec`).
+//! applied to a set of labels at once ([`apply_dict_set`]), by `d(ℓ)` here
+//! and by the shredded executor (`crate::shred::exec`) for the labels a
+//! materialized context must define.
 //!
 //! The evaluator counts abstract **steps** (one per produced tuple /
 //! iteration), which experiment E4 compares against the cost interpretation
@@ -20,7 +21,7 @@
 
 use crate::expr::{BoolExpr, CmpOp, Expr, Operand, ScalarRef};
 use nrc_data::{Bag, BaseValue, DataError, Database, Dictionary, Label, Type, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Errors raised during evaluation.
@@ -449,15 +450,14 @@ pub fn eval(e: &Expr, env: &mut Env<'_>) -> Result<Value, EvalError> {
             let lv = env.resolve_ref(label)?;
             let l = lv.as_label()?.clone();
             let d = resolve_ctx_inner(dict, env)?;
-            let dv = d.as_dict()?.clone();
             // Dictionary application is *total* (§5.2): `∅` outside the
             // support. Delta dictionaries rely on this — a label without a
             // change simply contributes nothing. Consistency of full
             // contexts (every reachable label defined) is enforced
             // separately by the shredded executor and the Appendix C.3
             // checker.
-            let bag = apply_dict(&dv, &l, env)?.unwrap_or_default();
-            Ok(Value::Bag(bag))
+            let mut defs = apply_dict_set(d.as_dict()?, &[&l], env.db, &mut 0)?;
+            Ok(Value::Bag(defs.pop().map(|(_, b)| b).unwrap_or_default()))
         }
         Expr::DictSng { .. }
         | Expr::CtxTuple(_)
@@ -712,64 +712,274 @@ pub fn ctx_add(a: CtxVal, b: CtxVal) -> Result<CtxVal, EvalError> {
     }
 }
 
-/// Apply a dictionary to a label: `d(ℓ)`.
-///
-/// Returns `Ok(None)` when `ℓ ∉ supp(d)`; a top-level `None` is a
-/// consistency violation (Appendix C.3) and surfaced as
-/// [`DataError::UndefinedLabel`] by the caller. Label unions check the §5.2
-/// agreement condition and error on conflict.
-pub fn apply_dict(d: &DictVal, l: &Label, env: &Env<'_>) -> Result<Option<Bag>, EvalError> {
-    match d {
-        DictVal::Ext(dict) => Ok(dict.get(l).cloned()),
-        DictVal::Intens(id) => {
-            if id.index != l.index {
-                return Ok(None);
-            }
-            if id.params.len() != l.args.len() {
-                return Err(EvalError::Malformed(format!(
-                    "label {l} arity does not match dictionary ι{} parameters",
-                    id.index
-                )));
-            }
-            let mut inner = Env {
-                db: env.db,
-                deltas: id.deltas.clone(),
-                lets: id.lets.clone(),
-                elems: id.elems.clone(),
-                ctx_lets: id.ctx_lets.clone(),
-                steps: 0,
-            };
-            for ((p, _), v) in id.params.iter().zip(&l.args) {
-                inner.elems.push((p.clone(), v.clone()));
-            }
-            let bag = eval_query(&id.body, &mut inner)?;
-            Ok(Some(bag))
+impl IntensDict {
+    /// The captured environment over `db`, parameters not yet bound.
+    fn env<'a>(&self, db: &'a Database) -> Env<'a> {
+        Env {
+            db,
+            deltas: self.deltas.clone(),
+            lets: self.lets.clone(),
+            elems: self.elems.clone(),
+            ctx_lets: self.ctx_lets.clone(),
+            steps: 0,
         }
+    }
+}
+
+impl DictVal {
+    /// Is `l` in the support? A dictionary literal `[(ι,Π) ↦ e]` defines
+    /// every label of its index, possibly as `∅`.
+    pub fn defines(&self, l: &Label) -> bool {
+        match self {
+            DictVal::Ext(d) => d.defines(l),
+            DictVal::Intens(id) => id.index == l.index,
+            DictVal::Union(parts) | DictVal::Sum(parts) => parts.iter().any(|p| p.defines(l)),
+        }
+    }
+}
+
+/// Apply a dictionary to a set of labels at once: `{ℓ ↦ d(ℓ) | ℓ ∈ labels}`.
+///
+/// Returns the **non-empty** definitions as `(position in labels, bag)`,
+/// positions ascending; a label that is missing is either undefined or
+/// defined as `∅` — [`DictVal::defines`] tells which. Label unions check
+/// the §5.2 agreement condition and error on conflict.
+///
+/// A dictionary literal is applied set-at-a-time (see
+/// `apply_literal_set`); `body_evals` counts its body evaluations — one per
+/// (label, generator element) pair the body actually ran on.
+pub fn apply_dict_set(
+    d: &DictVal,
+    labels: &[&Label],
+    db: &Database,
+    body_evals: &mut u64,
+) -> Result<Vec<(usize, Bag)>, EvalError> {
+    match d {
+        DictVal::Ext(dict) => Ok(labels
+            .iter()
+            .enumerate()
+            .filter_map(|(i, l)| Some((i, dict.get(l).filter(|b| !b.is_empty())?.clone())))
+            .collect()),
+        DictVal::Intens(id) => apply_literal_set(id, labels, db, body_evals),
         DictVal::Union(parts) => {
-            let mut found: Option<Bag> = None;
-            for p in parts {
-                if let Some(b) = apply_dict(p, l, env)? {
-                    match &found {
-                        None => found = Some(b),
-                        Some(existing) if *existing == b => {}
-                        Some(_) => return Err(EvalError::DictUnionConflict(l.clone())),
+            let defs = parts
+                .iter()
+                .map(|p| apply_dict_set(p, labels, db, body_evals))
+                .collect::<Result<Vec<_>, _>>()?;
+            let at = |part: usize, i: usize| {
+                let found = defs[part].binary_search_by_key(&i, |(j, _)| *j).ok()?;
+                Some(&defs[part][found].1)
+            };
+            // A non-empty definition must be matched by every other part
+            // that defines the label; where all are `∅` they agree.
+            let mut out = BTreeMap::new();
+            for (part, part_defs) in defs.iter().enumerate() {
+                for (i, b) in part_defs {
+                    let agree = |(other, q): (usize, &DictVal)| {
+                        other == part || !q.defines(labels[*i]) || at(other, *i) == Some(b)
+                    };
+                    if !parts.iter().enumerate().all(agree) {
+                        return Err(EvalError::DictUnionConflict(labels[*i].clone()));
                     }
+                    out.entry(*i).or_insert_with(|| b.clone());
                 }
             }
-            Ok(found)
+            Ok(out.into_iter().collect())
         }
         DictVal::Sum(parts) => {
-            let mut found: Option<Bag> = None;
+            let mut out: BTreeMap<usize, Bag> = BTreeMap::new();
             for p in parts {
-                if let Some(b) = apply_dict(p, l, env)? {
-                    match found {
-                        None => found = Some(b),
-                        Some(existing) => found = Some(existing.union(&b)),
-                    }
+                for (i, b) in apply_dict_set(p, labels, db, body_evals)? {
+                    out.entry(i).or_default().union_assign(&b);
                 }
             }
-            Ok(found)
+            Ok(out.into_iter().filter(|(_, b)| !b.is_empty()).collect())
         }
+    }
+}
+
+/// `[(ι,Π) ↦ body]` applied to every label of index `ι` in `labels`, with
+/// one environment for the whole set (parameters bound and unbound per
+/// label, nothing cloned).
+///
+/// When the body is a comprehension `for x in S union e` whose generator
+/// `S` does not mention the parameters, `S` is evaluated once and the
+/// application becomes a join between the labels and `S`: if `e` is
+/// `where P …`, a *necessary* condition for `P` — a disjunction of
+/// equalities between parameter components and components of `x`
+/// ([`join_keys`]) — hash-partitions `S`, and `e` (the full predicate
+/// included) runs only on each label's candidates. The condition only
+/// prunes: an element outside it cannot satisfy `P`, so `e` is `∅` there.
+/// Without a usable equality every element of `S` is a candidate.
+fn apply_literal_set(
+    id: &IntensDict,
+    labels: &[&Label],
+    db: &Database,
+    body_evals: &mut u64,
+) -> Result<Vec<(usize, Bag)>, EvalError> {
+    let mine: Vec<usize> = (0..labels.len())
+        .filter(|&i| labels[i].index == id.index)
+        .collect();
+    if let Some(&i) = mine
+        .iter()
+        .find(|&&i| labels[i].args.len() != id.params.len())
+    {
+        return Err(EvalError::Malformed(format!(
+            "label {} arity does not match dictionary ι{} parameters",
+            labels[i], id.index
+        )));
+    }
+    if mine.is_empty() {
+        return Ok(Vec::new());
+    }
+    let _pin = nrc_data::intern::pin();
+    let mut env = id.env(db);
+    let unbound = env.elems.len();
+    let bind = |env: &mut Env<'_>, l: &Label| {
+        for ((p, _), v) in id.params.iter().zip(&l.args) {
+            env.elems.push((p.clone(), v.clone()));
+        }
+    };
+    let is_param = |name: &String| id.params.iter().any(|(p, _)| p == name);
+    let mut out = Vec::new();
+    match &id.body {
+        Expr::For { var, source, body } if !source.free_elem_vars().iter().any(is_param) => {
+            let generator = eval(source, &mut env)?.into_bag()?;
+            let elems: Vec<(&Value, i64)> = generator.iter().collect();
+            let index = JoinIndex::build(body, var, &id.params, &elems);
+            let all: Vec<usize> = (0..elems.len()).collect();
+            for i in mine {
+                let probed = index.as_ref().and_then(|ix| ix.probe(&labels[i].args));
+                let candidates = probed.as_deref().unwrap_or(&all);
+                if candidates.is_empty() {
+                    continue;
+                }
+                bind(&mut env, labels[i]);
+                let mut acc = Bag::empty();
+                let mut run = || -> Result<(), EvalError> {
+                    for &c in candidates {
+                        let (v, m) = elems[c];
+                        env.elems.push((var.clone(), v.clone()));
+                        let res = eval(body, &mut env);
+                        env.elems.pop();
+                        acc.union_assign_scaled(&res?.into_bag()?, m)?;
+                    }
+                    Ok(())
+                };
+                let ran = run();
+                env.elems.truncate(unbound);
+                ran?;
+                *body_evals += candidates.len() as u64;
+                if !acc.is_empty() {
+                    out.push((i, acc));
+                }
+            }
+        }
+        body => {
+            for i in mine {
+                bind(&mut env, labels[i]);
+                let res = eval(body, &mut env);
+                env.elems.truncate(unbound);
+                *body_evals += 1;
+                let def = res?.into_bag()?;
+                if !def.is_empty() {
+                    out.push((i, def));
+                }
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// One equality `param.path == x.path` of a join condition.
+struct JoinKey {
+    param: usize,
+    param_path: Vec<usize>,
+    elem_path: Vec<usize>,
+}
+
+/// A necessary condition for `p`, as a disjunction of equalities between a
+/// component of a parameter and a component of the generator variable `x`:
+/// `p` implies the returned disjunction. `None` when `p` has none (the
+/// caller then treats every generator element as a candidate).
+fn join_keys(p: &BoolExpr, x: &str, params: &[(String, Type)]) -> Option<Vec<JoinKey>> {
+    match p {
+        BoolExpr::Cmp(Operand::Ref(a), CmpOp::Eq, Operand::Ref(b)) => {
+            // `x` shadows a parameter of the same name.
+            let param = |r: &ScalarRef| params.iter().position(|(n, _)| *n == r.var && r.var != x);
+            let (param, on_param, on_elem) = match (param(a), param(b)) {
+                (Some(i), None) if b.var == x => (i, a, b),
+                (None, Some(i)) if a.var == x => (i, b, a),
+                _ => return None,
+            };
+            Some(vec![JoinKey {
+                param,
+                param_path: on_param.path.clone(),
+                elem_path: on_elem.path.clone(),
+            }])
+        }
+        // Either conjunct's condition is necessary for the conjunction.
+        BoolExpr::And(a, b) => join_keys(a, x, params).or_else(|| join_keys(b, x, params)),
+        BoolExpr::Or(a, b) => {
+            let mut keys = join_keys(a, x, params)?;
+            keys.extend(join_keys(b, x, params)?);
+            Some(keys)
+        }
+        BoolExpr::Cmp(..) | BoolExpr::Not(_) | BoolExpr::Const(_) => None,
+    }
+}
+
+/// The generator of a set-at-a-time application, hash-partitioned once per
+/// join key.
+struct JoinIndex<'a> {
+    keys: Vec<JoinKey>,
+    /// Per key: component value ↦ positions of the generator elements
+    /// carrying it.
+    buckets: Vec<HashMap<&'a Value, Vec<usize>>>,
+}
+
+impl<'a> JoinIndex<'a> {
+    /// `None` unless `body` is `where P …` (`for w in p[P] union …`) with a
+    /// usable [`join_keys`] condition that projects on every element.
+    fn build(
+        body: &Expr,
+        x: &str,
+        params: &[(String, Type)],
+        elems: &[(&'a Value, i64)],
+    ) -> Option<JoinIndex<'a>> {
+        let Expr::For { source, .. } = body else {
+            return None;
+        };
+        let Expr::Pred(p) = &**source else {
+            return None;
+        };
+        let keys = join_keys(p, x, params)?;
+        let mut buckets = Vec::with_capacity(keys.len());
+        for key in &keys {
+            let mut by_value: HashMap<&Value, Vec<usize>> = HashMap::new();
+            for (at, (v, _)) in elems.iter().enumerate() {
+                let component = v.project_path(&key.elem_path).ok()?;
+                by_value.entry(component).or_default().push(at);
+            }
+            buckets.push(by_value);
+        }
+        Some(JoinIndex { keys, buckets })
+    }
+
+    /// The positions of the elements that can satisfy the condition for a
+    /// label with assignment `args`, ascending and without repeats. `None`
+    /// when a parameter component does not project.
+    fn probe(&self, args: &[Value]) -> Option<Vec<usize>> {
+        let mut hits = Vec::new();
+        for (key, by_value) in self.keys.iter().zip(&self.buckets) {
+            let component = args[key.param].project_path(&key.param_path).ok()?;
+            if let Some(at) = by_value.get(component) {
+                hits.extend_from_slice(at);
+            }
+        }
+        hits.sort_unstable();
+        hits.dedup();
+        Some(hits)
     }
 }
 
@@ -1030,6 +1240,129 @@ mod tests {
         // ι2 maps to genres.
         assert_eq!(out.multiplicity(&Value::str("Action")), 2);
         assert_eq!(out.multiplicity(&Value::str("Drama")), 1);
+    }
+
+    /// `[(ι1, g) ↦ for m2 in M where P union sng(m2.1)]` resolved over the
+    /// example movies (Drive/Drama, Skyfall/Action, Rush/Action).
+    fn by_genre_dict(p: BoolExpr) -> DictVal {
+        let db = example_movies();
+        let dict = Expr::DictSng {
+            index: 1,
+            params: vec![("g".into(), Type::Base(nrc_data::BaseType::Str))],
+            body: Box::new(for_where("m2", rel("M"), p, proj_sng("m2", vec![0]))),
+        };
+        let mut env = Env::new(&db);
+        resolve_ctx(&dict, &mut env)
+            .unwrap()
+            .as_dict()
+            .unwrap()
+            .clone()
+    }
+
+    fn genre_label(index: u32, genre: &str) -> Label {
+        Label::new(index, vec![Value::str(genre)])
+    }
+
+    #[test]
+    fn set_application_runs_the_body_on_join_candidates_only() {
+        let db = example_movies();
+        let keyed = by_genre_dict(cmp("m2", vec![1], CmpOp::Eq, "g", vec![]));
+        let labels = [
+            genre_label(1, "Action"),
+            genre_label(1, "Comedy"),
+            genre_label(1, "Drama"),
+            genre_label(2, "Action"),
+        ];
+        let labels: Vec<&Label> = labels.iter().collect();
+        let mut evals = 0;
+        let defs = apply_dict_set(&keyed, &labels, &db, &mut evals).unwrap();
+        // Two Action movies, one Drama, no Comedy; ι2 is another dictionary.
+        assert_eq!(evals, 3);
+        assert_eq!(defs.len(), 2);
+        assert_eq!(
+            (defs[0].0, names(&defs[0].1)),
+            (0, vec!["Rush".into(), "Skyfall".into()])
+        );
+        assert_eq!((defs[1].0, names(&defs[1].1)), (2, vec!["Drive".into()]));
+        // Comedy is defined (as ∅); the ι2 label is not.
+        assert!(keyed.defines(labels[1]) && !keyed.defines(labels[3]));
+
+        // The key is only a necessary condition: the rest of the predicate
+        // still decides.
+        let narrowed = by_genre_dict(cmp("m2", vec![1], CmpOp::Eq, "g", vec![]).and(cmp_lit(
+            "m2",
+            vec![0],
+            CmpOp::Ne,
+            "Rush",
+        )));
+        let mut evals = 0;
+        let defs = apply_dict_set(&narrowed, &labels[..1], &db, &mut evals).unwrap();
+        assert_eq!((evals, names(&defs[0].1)), (2, vec!["Skyfall".into()]));
+    }
+
+    #[test]
+    fn set_application_without_a_usable_equality_tries_every_pair() {
+        let db = example_movies();
+        // `≠` alone, and an equality under one branch of a disjunction.
+        let ne = cmp("m2", vec![1], CmpOp::Ne, "g", vec![]);
+        let half_keyed = cmp("m2", vec![1], CmpOp::Eq, "g", vec![]).or(cmp_lit(
+            "m2",
+            vec![0],
+            CmpOp::Eq,
+            "Drive",
+        ));
+        let labels = [genre_label(1, "Action"), genre_label(1, "Drama")];
+        let labels: Vec<&Label> = labels.iter().collect();
+        for (p, action, drama) in [
+            (ne, vec!["Drive"], vec!["Rush", "Skyfall"]),
+            (half_keyed, vec!["Drive", "Rush", "Skyfall"], vec!["Drive"]),
+        ] {
+            let mut evals = 0;
+            let defs = apply_dict_set(&by_genre_dict(p), &labels, &db, &mut evals).unwrap();
+            assert_eq!(evals, 6, "2 labels × 3 movies");
+            assert_eq!(names(&defs[0].1), action);
+            assert_eq!(names(&defs[1].1), drama);
+        }
+    }
+
+    #[test]
+    fn set_application_of_unions_and_sums() {
+        let db = example_movies();
+        let (action, drama) = (genre_label(1, "Action"), genre_label(1, "Drama"));
+        let labels = vec![&action, &drama];
+        let keyed = by_genre_dict(cmp("m2", vec![1], CmpOp::Eq, "g", vec![]));
+        let ext = |l: &Label, vs: &[&str]| {
+            let def = Bag::from_values(vs.iter().map(|v| Value::str(*v)));
+            DictVal::Ext(Dictionary::singleton(l.clone(), def))
+        };
+        let mut evals = 0;
+        // ∪: agreeing definitions pass, a disagreeing one is §5.2's error —
+        // also when one side says ∅.
+        let agree = DictVal::Union(vec![keyed.clone(), ext(&drama, &["Drive"])]);
+        let defs = apply_dict_set(&agree, &labels, &db, &mut evals).unwrap();
+        assert_eq!(defs.len(), 2);
+        let clash = DictVal::Union(vec![keyed.clone(), ext(&drama, &["Jarhead"])]);
+        assert_eq!(
+            apply_dict_set(&clash, &labels, &db, &mut evals),
+            Err(EvalError::DictUnionConflict(drama.clone()))
+        );
+        let comedy = genre_label(1, "Comedy");
+        let clash = DictVal::Union(vec![keyed.clone(), ext(&comedy, &["Carnage"])]);
+        assert_eq!(
+            apply_dict_set(&clash, &[&comedy], &db, &mut evals),
+            Err(EvalError::DictUnionConflict(comedy.clone()))
+        );
+        // ⊎: definitions add; one that cancels is no change.
+        let mut cancel = Dictionary::empty();
+        cancel.define(drama.clone(), Bag::from_pairs([(Value::str("Drive"), -1)]));
+        let sum = DictVal::Sum(vec![
+            keyed,
+            DictVal::Ext(cancel),
+            ext(&action, &["Jarhead"]),
+        ]);
+        let defs = apply_dict_set(&sum, &labels, &db, &mut evals).unwrap();
+        assert_eq!(defs.len(), 1);
+        assert_eq!(names(&defs[0].1), vec!["Jarhead", "Rush", "Skyfall"]);
     }
 
     #[test]

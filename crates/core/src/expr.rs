@@ -147,20 +147,26 @@ impl BoolExpr {
 
     /// Collect the element variables this predicate mentions.
     pub fn free_vars(&self, out: &mut BTreeSet<String>) {
+        let mut refs = Vec::new();
+        self.scalar_refs(&mut refs);
+        out.extend(refs.into_iter().map(|r| r.var.clone()));
+    }
+
+    /// Collect every variable-component operand of this predicate.
+    pub fn scalar_refs<'a>(&'a self, out: &mut Vec<&'a ScalarRef>) {
         match self {
             BoolExpr::Cmp(a, _, b) => {
-                if let Operand::Ref(r) = a {
-                    out.insert(r.var.clone());
-                }
-                if let Operand::Ref(r) = b {
-                    out.insert(r.var.clone());
+                for o in [a, b] {
+                    if let Operand::Ref(r) = o {
+                        out.push(r);
+                    }
                 }
             }
             BoolExpr::And(a, b) | BoolExpr::Or(a, b) => {
-                a.free_vars(out);
-                b.free_vars(out);
+                a.scalar_refs(out);
+                b.scalar_refs(out);
             }
-            BoolExpr::Not(a) => a.free_vars(out),
+            BoolExpr::Not(a) => a.scalar_refs(out),
             BoolExpr::Const(_) => {}
         }
     }
@@ -411,41 +417,54 @@ impl Expr {
     /// Free element variables (not bound by an enclosing `For` or dictionary
     /// parameter list).
     pub fn free_elem_vars(&self) -> BTreeSet<String> {
+        self.free_scalar_refs().into_iter().map(|r| r.var).collect()
+    }
+
+    /// Every free occurrence of an element variable, with the component
+    /// path read at that occurrence (empty = the variable used whole, as in
+    /// `sng(x)`). Label narrowing (§5.1) keeps only these paths in a label.
+    pub fn free_scalar_refs(&self) -> BTreeSet<ScalarRef> {
         let mut out = BTreeSet::new();
         let mut bound = BTreeSet::new();
-        self.collect_free_elem_vars(&mut bound, &mut out);
+        self.collect_free_scalar_refs(&mut bound, &mut out);
         out
     }
 
-    fn collect_free_elem_vars(&self, bound: &mut BTreeSet<String>, out: &mut BTreeSet<String>) {
-        let note = |var: &String, bound: &BTreeSet<String>, out: &mut BTreeSet<String>| {
-            if !bound.contains(var) {
-                out.insert(var.clone());
+    fn collect_free_scalar_refs(
+        &self,
+        bound: &mut BTreeSet<String>,
+        out: &mut BTreeSet<ScalarRef>,
+    ) {
+        let note = |r: &ScalarRef, bound: &BTreeSet<String>, out: &mut BTreeSet<ScalarRef>| {
+            if !bound.contains(&r.var) {
+                out.insert(r.clone());
             }
         };
         match self {
-            Expr::ElemSng(v) => note(v, bound, out),
-            Expr::ProjSng { var, .. } => note(var, bound, out),
+            Expr::ElemSng(v) => note(&ScalarRef::var(v.clone()), bound, out),
+            Expr::ProjSng { var, path } => {
+                note(&ScalarRef::path(var.clone(), path.clone()), bound, out)
+            }
             Expr::Pred(p) => {
-                let mut vs = BTreeSet::new();
-                p.free_vars(&mut vs);
-                for v in vs {
-                    note(&v, bound, out);
+                let mut refs = Vec::new();
+                p.scalar_refs(&mut refs);
+                for r in refs {
+                    note(r, bound, out);
                 }
             }
             Expr::InLabel { args, .. } => {
                 for a in args {
-                    note(&a.var, bound, out);
+                    note(a, bound, out);
                 }
             }
             Expr::DictGet { dict, label } => {
-                note(&label.var, bound, out);
-                dict.collect_free_elem_vars(bound, out);
+                note(label, bound, out);
+                dict.collect_free_scalar_refs(bound, out);
             }
             Expr::For { var, source, body } => {
-                source.collect_free_elem_vars(bound, out);
+                source.collect_free_scalar_refs(bound, out);
                 let fresh = bound.insert(var.clone());
-                body.collect_free_elem_vars(bound, out);
+                body.collect_free_scalar_refs(bound, out);
                 if fresh {
                     bound.remove(var);
                 }
@@ -457,12 +476,12 @@ impl Expr {
                         added.push(p.clone());
                     }
                 }
-                body.collect_free_elem_vars(bound, out);
+                body.collect_free_scalar_refs(bound, out);
                 for p in added {
                     bound.remove(&p);
                 }
             }
-            _ => self.for_each_child(|c| c.collect_free_elem_vars(bound, out)),
+            _ => self.for_each_child(|c| c.collect_free_scalar_refs(bound, out)),
         }
     }
 

@@ -14,7 +14,8 @@
 //!   (§4.2, Thm. 4),
 //! * [`optimize`] — the algebraic simplifier used to normalize deltas,
 //! * [`shred`] — the shredding transformation of §5 (Fig. 6, Fig. 9,
-//!   Thm. 8) with the request-driven shredded executor,
+//!   Thm. 8) with the shredded executor, which materializes contexts and
+//!   maintains them in place,
 //! * [`generator`] — random well-typed query/instance generation for
 //!   property-based testing of the paper's theorems.
 

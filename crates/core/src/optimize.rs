@@ -400,110 +400,86 @@ fn binds_name(e: &Expr, name: &str) -> bool {
 /// Substitute element-variable `var` by the scalar reference `r` throughout
 /// `e` (the β-rule `for x in sng(y.p) union e = e[x := y.p]`).
 pub fn subst_scalar(e: &Expr, var: &str, r: &ScalarRef) -> Expr {
-    let rr = |sr: &ScalarRef| -> ScalarRef {
-        if sr.var == var {
-            let mut path = r.path.clone();
-            path.extend_from_slice(&sr.path);
-            ScalarRef {
-                var: r.var.clone(),
-                path,
-            }
+    map_scalar_refs(e, var, &|sr| {
+        let mut path = r.path.clone();
+        path.extend_from_slice(&sr.path);
+        ScalarRef {
+            var: r.var.clone(),
+            path,
+        }
+    })
+}
+
+/// Rewrite every free reference to element-variable `var` in `e` through
+/// `rr` (occurrences under a binder of the same name are left alone). `rr`
+/// must not introduce a variable that `e` binds.
+pub fn map_scalar_refs(e: &Expr, var: &str, rr: &impl Fn(&ScalarRef) -> ScalarRef) -> Expr {
+    let on = |sr: &ScalarRef| if sr.var == var { rr(sr) } else { sr.clone() };
+    let sng = |sr: ScalarRef| {
+        if sr.path.is_empty() {
+            Expr::ElemSng(sr.var)
         } else {
-            sr.clone()
+            Expr::ProjSng {
+                var: sr.var,
+                path: sr.path,
+            }
         }
     };
+    let go = |c: &Expr| map_scalar_refs(c, var, rr);
     match e {
-        Expr::ElemSng(x) if x == var => {
-            if r.path.is_empty() {
-                Expr::ElemSng(r.var.clone())
-            } else {
-                Expr::ProjSng {
-                    var: r.var.clone(),
-                    path: r.path.clone(),
-                }
-            }
-        }
+        Expr::ElemSng(x) if x == var => sng(rr(&ScalarRef::var(x.clone()))),
         Expr::ProjSng { var: x, path } if x == var => {
-            let mut p = r.path.clone();
-            p.extend_from_slice(path);
-            if p.is_empty() {
-                Expr::ElemSng(r.var.clone())
-            } else {
-                Expr::ProjSng {
-                    var: r.var.clone(),
-                    path: p,
-                }
-            }
+            sng(rr(&ScalarRef::path(x.clone(), path.clone())))
         }
-        Expr::Pred(p) => Expr::Pred(subst_pred(p, &rr)),
+        Expr::Pred(p) => Expr::Pred(subst_pred(p, &on)),
         Expr::InLabel { index, args } => Expr::InLabel {
             index: *index,
-            args: args.iter().map(&rr).collect(),
+            args: args.iter().map(on).collect(),
         },
         Expr::DictGet { dict, label } => Expr::DictGet {
-            dict: Box::new(subst_scalar(dict, var, r)),
-            label: rr(label),
+            dict: Box::new(go(dict)),
+            label: on(label),
         },
         Expr::For {
             var: v,
             source,
             body,
-        } => {
-            let src = subst_scalar(source, var, r);
-            let b = if v == var {
-                (**body).clone()
-            } else {
-                subst_scalar(body, var, r)
-            };
-            Expr::For {
-                var: v.clone(),
-                source: Box::new(src),
-                body: Box::new(b),
-            }
-        }
+        } => Expr::For {
+            var: v.clone(),
+            source: Box::new(go(source)),
+            body: Box::new(if v == var { (**body).clone() } else { go(body) }),
+        },
         Expr::DictSng {
             index,
             params,
             body,
-        } => {
-            let b = if params.iter().any(|(p, _)| p == var) {
+        } => Expr::DictSng {
+            index: *index,
+            params: params.clone(),
+            body: Box::new(if params.iter().any(|(p, _)| p == var) {
                 (**body).clone()
             } else {
-                subst_scalar(body, var, r)
-            };
-            Expr::DictSng {
-                index: *index,
-                params: params.clone(),
-                body: Box::new(b),
-            }
-        }
+                go(body)
+            }),
+        },
         Expr::Let { name, value, body } => Expr::Let {
             name: name.clone(),
-            value: Box::new(subst_scalar(value, var, r)),
-            body: Box::new(subst_scalar(body, var, r)),
+            value: Box::new(go(value)),
+            body: Box::new(go(body)),
         },
         Expr::Sng { index, body } => Expr::Sng {
             index: *index,
-            body: Box::new(subst_scalar(body, var, r)),
+            body: Box::new(go(body)),
         },
-        Expr::Union(a, b) => Expr::Union(
-            Box::new(subst_scalar(a, var, r)),
-            Box::new(subst_scalar(b, var, r)),
-        ),
-        Expr::LabelUnion(a, b) => Expr::LabelUnion(
-            Box::new(subst_scalar(a, var, r)),
-            Box::new(subst_scalar(b, var, r)),
-        ),
-        Expr::CtxAdd(a, b) => Expr::CtxAdd(
-            Box::new(subst_scalar(a, var, r)),
-            Box::new(subst_scalar(b, var, r)),
-        ),
-        Expr::Negate(x) => Expr::Negate(Box::new(subst_scalar(x, var, r))),
-        Expr::Flatten(x) => Expr::Flatten(Box::new(subst_scalar(x, var, r))),
-        Expr::Product(es) => Expr::Product(es.iter().map(|f| subst_scalar(f, var, r)).collect()),
-        Expr::CtxTuple(es) => Expr::CtxTuple(es.iter().map(|f| subst_scalar(f, var, r)).collect()),
+        Expr::Union(a, b) => Expr::Union(Box::new(go(a)), Box::new(go(b))),
+        Expr::LabelUnion(a, b) => Expr::LabelUnion(Box::new(go(a)), Box::new(go(b))),
+        Expr::CtxAdd(a, b) => Expr::CtxAdd(Box::new(go(a)), Box::new(go(b))),
+        Expr::Negate(x) => Expr::Negate(Box::new(go(x))),
+        Expr::Flatten(x) => Expr::Flatten(Box::new(go(x))),
+        Expr::Product(es) => Expr::Product(es.iter().map(go).collect()),
+        Expr::CtxTuple(es) => Expr::CtxTuple(es.iter().map(go).collect()),
         Expr::CtxProj { ctx, index } => Expr::CtxProj {
-            ctx: Box::new(subst_scalar(ctx, var, r)),
+            ctx: Box::new(go(ctx)),
             index: *index,
         },
         // Leaves without element references.

@@ -1,4 +1,4 @@
-//! The request-driven shredded executor.
+//! The shredded executor: contexts materialized and maintained in place.
 //!
 //! Dictionary expressions denote functions with a-priori infinite domain
 //! (§5.2); materializing a shredded query therefore follows the paper's
@@ -6,9 +6,21 @@
 //! shredding context we need only compute the definitions of the labels
 //! produced by the flat version of the query."*
 //!
-//! [`eval_shredded`] evaluates the flat part, collects the labels it emits
-//! (level by level: definitions at one nesting level surface the labels of
-//! the next), and extensionalizes the context tree at exactly those labels.
+//! [`maintain_ctx`] is the one path that does this, for the first
+//! materialization and for every update alike. Given how the flat result
+//! changes and the delta of the context, per dictionary of the context:
+//!
+//! * the delta is `⊎`-ed into the labels whose change is non-empty — no
+//!   other definition is touched, so a dictionary shares every untouched
+//!   node with its published snapshots;
+//! * a label is **initialized** from the full context when the first
+//!   element carrying it appears, and **removed** when the last one goes
+//!   ([`LabelRefs`] counts them), so the support is at every moment exactly
+//!   the labels reachable from the flat result;
+//! * definitions that appear, change or go are in turn the population
+//!   change of the next nesting level.
+//!
+//! [`eval_shredded`] is `maintain_ctx` from the empty context, and
 //! [`eval_shredded_nested`] additionally applies the nesting function `u`,
 //! giving the end-to-end pipeline of Thm. 8:
 //!
@@ -17,126 +29,321 @@
 //! ```
 
 use super::transform::Shredded;
-use super::values::{nest_bag, shred_bag, LabelGen};
+use super::values::{empty_ctx_value, nest_bag, shred_bag, LabelGen};
 use super::ShredError;
-use crate::eval::{apply_dict, eval_query, resolve_ctx, CtxVal, Env};
+use crate::eval::{apply_dict_set, eval_query, resolve_ctx, CtxVal, DictVal, Env};
+use crate::expr::Expr;
+use crate::typecheck::is_flat_type;
+use nrc_data::intern::Vid;
 use nrc_data::{Bag, DataError, Database, Dictionary, Label, Type, Value};
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
-/// Label requests per context node, mirroring the context type's tree shape.
+/// Per dictionary of a materialized context, how many elements of its
+/// level's population carry each label: flat-result tuples at the top,
+/// `(label, element)` entries of the parent dictionary below. A label is in
+/// a dictionary's support exactly while its count is positive. Shaped like
+/// the element type.
 #[derive(Clone, Debug)]
-enum ReqTree {
-    /// `Base^Γ = 1` — nothing to request.
-    Unit,
-    /// Componentwise requests for tuple types.
-    Tuple(Vec<ReqTree>),
-    /// A `Bag(C)` position: the labels whose definitions are needed, plus
-    /// the (as yet unfilled) requests of the child context `C^Γ`.
-    Node {
-        labels: BTreeSet<Label>,
-        child: Box<ReqTree>,
+pub enum LabelRefs {
+    /// A position without inner bags.
+    Flat,
+    /// Componentwise counts of a tuple type.
+    Tuple(Vec<LabelRefs>),
+    /// A `Bag(C)` position: a bag of labels whose multiplicities are the
+    /// counts, and the counts of `C`'s own positions.
+    Bag {
+        /// Label ↦ number of population elements carrying it.
+        counts: Bag,
+        /// The counts of the next nesting level.
+        child: Box<LabelRefs>,
     },
 }
 
-fn req_empty(ty: &Type) -> Result<ReqTree, ShredError> {
-    match ty {
-        Type::Base(_) => Ok(ReqTree::Unit),
-        Type::Tuple(ts) => Ok(ReqTree::Tuple(
-            ts.iter().map(req_empty).collect::<Result<_, _>>()?,
-        )),
-        Type::Bag(c) => Ok(ReqTree::Node {
-            labels: BTreeSet::new(),
-            child: Box::new(req_empty(c)?),
-        }),
-        other => Err(ShredError::Shape(format!(
-            "{other} is not a shreddable type"
-        ))),
+impl LabelRefs {
+    /// The counts of an empty context of element type `ty`.
+    pub fn empty(ty: &Type) -> LabelRefs {
+        match ty {
+            Type::Tuple(ts) if !is_flat_type(ty) => {
+                LabelRefs::Tuple(ts.iter().map(LabelRefs::empty).collect())
+            }
+            Type::Bag(c) => LabelRefs::Bag {
+                counts: Bag::empty(),
+                child: Box::new(LabelRefs::empty(c)),
+            },
+            _ => LabelRefs::Flat,
+        }
     }
 }
 
-/// Record the labels occurring in a *flat* value of (original) type `ty`.
-fn collect(flat: &Value, ty: &Type, req: &mut ReqTree) -> Result<(), ShredError> {
-    match (flat, ty, req) {
-        (Value::Base(_), Type::Base(_), ReqTree::Unit) => Ok(()),
-        (Value::Tuple(vs), Type::Tuple(ts), ReqTree::Tuple(rs))
-            if vs.len() == ts.len() && ts.len() == rs.len() =>
-        {
-            for ((v, t), r) in vs.iter().zip(ts).zip(rs) {
-                collect(v, t, r)?;
-            }
-            Ok(())
+/// What one [`maintain_ctx`] call did, as exact counts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CtxWork {
+    /// Existing definitions the delta was `⊎`-ed into.
+    pub labels_touched: u64,
+    /// Definitions initialized for labels that became reachable.
+    pub labels_initialized: u64,
+    /// Definitions removed because their label became unreachable.
+    pub labels_removed: u64,
+    /// Dictionary-body evaluations (see [`apply_dict_set`]).
+    pub body_evals: u64,
+}
+
+/// Bring the materialized context `mat` (with its reference counts `refs`)
+/// from the state matching `flat_before` to the state matching
+/// `flat_before ⊎ flat_change`, in place.
+///
+/// * `delta` is the context's delta, resolved against the pre-update
+///   environment with the update bound; `None` when the context does not
+///   change.
+/// * `full` is the full context resolved against the post-update
+///   environment; labels that become reachable are initialized from it.
+///
+/// Cost: the definitions the delta changes and the labels that appear or
+/// go, `O(log n)` tree work each, plus the body evaluations
+/// [`apply_dict_set`] makes. A dictionary-literal delta is additionally
+/// matched against every label of the support it applies to (a hash probe
+/// per label); nothing else grows with the context, and no definition the
+/// update leaves alone is written.
+#[allow(clippy::too_many_arguments)]
+pub fn maintain_ctx(
+    mat: &mut Value,
+    refs: &mut LabelRefs,
+    elem_ty: &Type,
+    flat_before: &Bag,
+    flat_change: &Bag,
+    delta: Option<&CtxVal>,
+    full: &CtxVal,
+    db: &Database,
+) -> Result<CtxWork, ShredError> {
+    // Ids of elements that leave a definition are resolved after the
+    // definition is gone.
+    let _pin = nrc_data::intern::pin();
+    let mut change = Population::default();
+    for (id, m) in flat_change.ids() {
+        change.note(id, flat_before.multiplicity_id(id), m);
+    }
+    let mut run = Maintenance {
+        db,
+        work: CtxWork::default(),
+    };
+    run.level(elem_ty, mat, refs, delta, full, &mut Vec::new(), &change)?;
+    Ok(run.work)
+}
+
+/// The elements that entered and left one level's population.
+#[derive(Default)]
+struct Population {
+    appeared: Vec<Vid>,
+    vanished: Vec<Vid>,
+}
+
+impl Population {
+    /// Element `id` had multiplicity `before` and gains `m`.
+    fn note(&mut self, id: Vid, before: i64, m: i64) {
+        let after = before.saturating_add(m);
+        if before == 0 && after != 0 {
+            self.appeared.push(id);
+        } else if before != 0 && after == 0 {
+            self.vanished.push(id);
         }
-        (Value::Label(l), Type::Bag(_), ReqTree::Node { labels, .. }) => {
-            labels.insert(l.clone());
-            Ok(())
-        }
-        (v, t, _) => Err(ShredError::Shape(format!(
-            "flat value {v} does not match flat form of {t}"
-        ))),
     }
 }
 
-/// Materialize a resolved context at exactly the requested labels,
-/// recursively discovering the labels of deeper levels from the definitions
-/// produced at this one.
-fn extensionalize(
-    ctx: &CtxVal,
-    ty: &Type,
-    req: &ReqTree,
-    env: &Env<'_>,
-) -> Result<Value, ShredError> {
-    match (ty, req) {
-        (Type::Base(_), ReqTree::Unit) => Ok(Value::unit()),
-        (Type::Tuple(ts), ReqTree::Tuple(rs)) => {
-            let parts = match ctx {
-                CtxVal::Tuple(cs) if cs.len() == ts.len() => cs,
-                _ => return Err(ShredError::Shape("context/tuple shape mismatch".into())),
-            };
-            let mut out = Vec::with_capacity(ts.len());
-            for ((c, t), r) in parts.iter().zip(ts).zip(rs) {
-                out.push(extensionalize(c, t, r, env)?);
-            }
-            Ok(Value::Tuple(out))
-        }
-        (Type::Bag(elem_ty), ReqTree::Node { labels, child }) => {
-            let (dictval, child_ctx) = match ctx {
-                CtxVal::Tuple(cs) if cs.len() == 2 => (cs[0].as_dict()?, &cs[1]),
-                _ => return Err(ShredError::Shape("context/bag shape mismatch".into())),
-            };
-            let mut dict = Dictionary::empty();
-            let mut child_req = (**child).clone();
-            for l in labels {
-                let def = apply_dict(dictval, l, env)?
-                    .ok_or_else(|| DataError::UndefinedLabel { label: l.clone() })?;
-                for (v, _) in def.iter() {
-                    collect(v, elem_ty, &mut child_req)?;
+struct Maintenance<'a> {
+    db: &'a Database,
+    work: CtxWork,
+}
+
+impl Maintenance<'_> {
+    /// Maintain the dictionaries of the positions of `ty`, given the
+    /// `change` of the population whose elements have (flat) type `ty`;
+    /// `at` is the position of `ty` inside an element. `mat`, `refs`,
+    /// `delta` and `full` are the nodes of their trees at that position.
+    #[allow(clippy::too_many_arguments)]
+    fn level(
+        &mut self,
+        ty: &Type,
+        mat: &mut Value,
+        refs: &mut LabelRefs,
+        delta: Option<&CtxVal>,
+        full: &CtxVal,
+        at: &mut Vec<usize>,
+        change: &Population,
+    ) -> Result<(), ShredError> {
+        match (ty, mat, refs) {
+            (_, _, LabelRefs::Flat) => Ok(()),
+            (Type::Tuple(ts), Value::Tuple(ms), LabelRefs::Tuple(rs))
+                if ms.len() == ts.len() && rs.len() == ts.len() =>
+            {
+                for (i, ((t, m), r)) in ts.iter().zip(ms).zip(rs).enumerate() {
+                    let d = delta.map(|d| d.project(i)).transpose()?;
+                    at.push(i);
+                    let done = self.level(t, m, r, d, full.project(i)?, at, change);
+                    at.pop();
+                    done?;
                 }
-                dict.define(l.clone(), def);
+                Ok(())
             }
-            let child_val = extensionalize(child_ctx, elem_ty, &child_req, env)?;
-            Ok(Value::Tuple(vec![Value::Dict(dict), child_val]))
+            (Type::Bag(elem), Value::Tuple(node), LabelRefs::Bag { counts, child }) => {
+                let [Value::Dict(dict), child_mat] = node.as_mut_slice() else {
+                    return Err(ShredError::Shape("context/bag shape mismatch".into()));
+                };
+                let (delta_dict, delta_child) = match delta {
+                    Some(d) => (Some(d.project(0)?.as_dict()?), Some(d.project(1)?)),
+                    None => (None, None),
+                };
+                let deeper = !is_flat_type(elem);
+                let mut below = Population::default();
+
+                // The delta, into the definitions it changes.
+                if let Some(delta_dict) = delta_dict {
+                    for (label, by) in self.changes(delta_dict, dict)? {
+                        if deeper {
+                            let def = dict.get_id(label).expect("changes are of defined labels");
+                            for (id, m) in by.ids() {
+                                below.note(id, def.multiplicity_id(id), m);
+                            }
+                        }
+                        dict.add_entry_id(label, &by);
+                        self.work.labels_touched += 1;
+                    }
+                }
+
+                // Reference counts: which labels became reachable, which
+                // stopped being.
+                let mut net: BTreeMap<&Value, i64> = BTreeMap::new();
+                for (ids, by) in [(&change.appeared, 1), (&change.vanished, -1)] {
+                    for id in ids {
+                        *net.entry(id.value().project_path(at)?).or_default() += by;
+                    }
+                }
+                let (mut born, mut dead) = (Vec::new(), Vec::new());
+                for (label, by) in net {
+                    if by == 0 {
+                        continue;
+                    }
+                    let before = counts.multiplicity(label);
+                    if before + by < 0 {
+                        return Err(ShredError::Shape(format!(
+                            "more elements left than carried label {label}"
+                        )));
+                    }
+                    counts.insert(label.clone(), by);
+                    if before == 0 {
+                        born.push(label.as_label()?);
+                    } else if before + by == 0 {
+                        dead.push(label.as_label()?);
+                    }
+                }
+
+                if !born.is_empty() {
+                    let full_dict = full.project(0)?.as_dict()?;
+                    let mut defs =
+                        apply_dict_set(full_dict, &born, self.db, &mut self.work.body_evals)?
+                            .into_iter()
+                            .peekable();
+                    for (i, label) in born.into_iter().enumerate() {
+                        if !full_dict.defines(label) {
+                            return Err(DataError::UndefinedLabel {
+                                label: label.clone(),
+                            }
+                            .into());
+                        }
+                        let def = defs.next_if(|(pos, _)| *pos == i).map(|(_, def)| def);
+                        let def = def.unwrap_or_default();
+                        if deeper {
+                            below.appeared.extend(def.ids().map(|(id, _)| id));
+                        }
+                        dict.define(label.clone(), def);
+                        self.work.labels_initialized += 1;
+                    }
+                }
+                for label in dead {
+                    let def = dict.remove(label).ok_or_else(|| {
+                        ShredError::Shape(format!("counted label {label} has no definition"))
+                    })?;
+                    if deeper {
+                        below.vanished.extend(def.ids().map(|(id, _)| id));
+                    }
+                    self.work.labels_removed += 1;
+                }
+
+                if deeper {
+                    let full_child = full.project(1)?;
+                    let at = &mut Vec::new();
+                    self.level(elem, child_mat, child, delta_child, full_child, at, &below)?;
+                }
+                Ok(())
+            }
+            _ => Err(ShredError::Shape(
+                "context does not match the element type".into(),
+            )),
         }
-        _ => Err(ShredError::Shape("request/type shape mismatch".into())),
     }
+
+    /// The non-empty changes `delta` makes to definitions of `dict`, by
+    /// label id. Extensional parts are read off their own support, so a
+    /// deep update costs its size; only a dictionary literal or a label
+    /// union is applied to the whole support.
+    fn changes(
+        &mut self,
+        delta: &DictVal,
+        dict: &Dictionary,
+    ) -> Result<Vec<(Vid, Bag)>, ShredError> {
+        match delta {
+            DictVal::Ext(d) => Ok(d
+                .entry_ids()
+                .filter(|(id, by)| !by.is_empty() && dict.get_id(*id).is_some())
+                .map(|(id, by)| (id, by.clone()))
+                .collect()),
+            DictVal::Intens(literal) if matches!(literal.body, Expr::Empty { .. }) => {
+                Ok(Vec::new())
+            }
+            DictVal::Sum(parts) => {
+                let mut sum: BTreeMap<Vid, Bag> = BTreeMap::new();
+                for part in parts {
+                    for (id, by) in self.changes(part, dict)? {
+                        sum.entry(id).or_default().union_assign(&by);
+                    }
+                }
+                Ok(sum.into_iter().filter(|(_, by)| !by.is_empty()).collect())
+            }
+            DictVal::Intens(_) | DictVal::Union(_) => {
+                let ids: Vec<Vid> = dict.entry_ids().map(|(id, _)| id).collect();
+                let labels = ids
+                    .iter()
+                    .map(|id| id.value().as_label())
+                    .collect::<Result<Vec<&Label>, _>>()?;
+                let by = apply_dict_set(delta, &labels, self.db, &mut self.work.body_evals)?;
+                Ok(by.into_iter().map(|(i, by)| (ids[i], by)).collect())
+            }
+        }
+    }
+}
+
+/// Materialize a shredded query: its flat bag, the extensional context
+/// restricted to reachable labels, and the reference counts
+/// [`maintain_ctx`] needs to keep maintaining it.
+///
+/// The environment must bind the shredded inputs — see
+/// [`bind_shredded_database`].
+pub fn materialize(s: &Shredded, env: &mut Env<'_>) -> Result<(Bag, Value, LabelRefs), ShredError> {
+    let flat = eval_query(&s.flat, env)?;
+    let mut ctx = empty_ctx_value(&s.elem_ty)?;
+    let mut refs = LabelRefs::empty(&s.elem_ty);
+    let full = resolve_ctx(&s.ctx, env)?;
+    let (none, db) = (Bag::empty(), env.db);
+    maintain_ctx(
+        &mut ctx, &mut refs, &s.elem_ty, &none, &flat, None, &full, db,
+    )?;
+    Ok((flat, ctx, refs))
 }
 
 /// Evaluate a shredded query to its flat bag and the extensional context
 /// restricted to reachable labels.
-///
-/// The environment must bind the shredded inputs — see
-/// [`bind_shredded_database`].
 pub fn eval_shredded(s: &Shredded, env: &mut Env<'_>) -> Result<(Bag, Value), ShredError> {
-    // Epoch-pinned end to end: the label collection below resolves ids of
-    // transient flat tuples across several intermediate bags.
-    let _pin = nrc_data::intern::pin();
-    let flat = eval_query(&s.flat, env)?;
-    let ctxval = resolve_ctx(&s.ctx, env)?;
-    let mut req = req_empty(&s.elem_ty)?;
-    for (v, _) in flat.iter() {
-        collect(v, &s.elem_ty, &mut req)?;
-    }
-    let ctx_value = extensionalize(&ctxval, &s.elem_ty, &req, env)?;
-    Ok((flat, ctx_value))
+    let (flat, ctx, _) = materialize(s, env)?;
+    Ok((flat, ctx))
 }
 
 /// Evaluate a shredded query and nest the result back into the original
@@ -144,117 +351,6 @@ pub fn eval_shredded(s: &Shredded, env: &mut Env<'_>) -> Result<(Bag, Value), Sh
 pub fn eval_shredded_nested(s: &Shredded, env: &mut Env<'_>) -> Result<Bag, ShredError> {
     let (flat, ctx) = eval_shredded(s, env)?;
     nest_bag(&flat, &s.elem_ty, &ctx)
-}
-
-/// Incrementally refresh a materialized context (the engine's dictionary
-/// maintenance step, §2.2's cost analysis):
-///
-/// * labels already defined in `old_mat` get their definition updated by
-///   `⊎`-ing in the *delta* context's contribution (evaluated against the
-///   pre-update environment with the update bound) — cost proportional to
-///   the delta per label;
-/// * labels newly introduced by the flat delta are *initialized* from the
-///   full context evaluated against the post-update environment (the
-///   "check whether each label in its domain has an associated definition,
-///   and if not initialize it accordingly" step of §2.2);
-/// * labels no longer reachable from `new_flat` are dropped (domain
-///   maintenance garbage collection).
-#[allow(clippy::too_many_arguments)]
-pub fn refresh_ctx(
-    old_mat: &Value,
-    full: &CtxVal,
-    delta: &CtxVal,
-    elem_ty: &Type,
-    new_flat: &Bag,
-    env_new: &Env<'_>,
-    env_delta: &Env<'_>,
-) -> Result<Value, ShredError> {
-    let mut req = req_empty(elem_ty)?;
-    for (v, _) in new_flat.iter() {
-        collect(v, elem_ty, &mut req)?;
-    }
-    refresh_level(old_mat, full, delta, elem_ty, &req, env_new, env_delta)
-}
-
-fn refresh_level(
-    old_mat: &Value,
-    full: &CtxVal,
-    delta: &CtxVal,
-    ty: &Type,
-    req: &ReqTree,
-    env_new: &Env<'_>,
-    env_delta: &Env<'_>,
-) -> Result<Value, ShredError> {
-    match (ty, req) {
-        (Type::Base(_), ReqTree::Unit) => Ok(Value::unit()),
-        (Type::Tuple(ts), ReqTree::Tuple(rs)) => {
-            let (olds, fulls, deltas) = match (old_mat, full, delta) {
-                (Value::Tuple(os), CtxVal::Tuple(fs), CtxVal::Tuple(ds))
-                    if os.len() == ts.len() && fs.len() == ts.len() && ds.len() == ts.len() =>
-                {
-                    (os, fs, ds)
-                }
-                _ => return Err(ShredError::Shape("refresh: tuple shape mismatch".into())),
-            };
-            let mut out = Vec::with_capacity(ts.len());
-            for i in 0..ts.len() {
-                out.push(refresh_level(
-                    &olds[i], &fulls[i], &deltas[i], &ts[i], &rs[i], env_new, env_delta,
-                )?);
-            }
-            Ok(Value::Tuple(out))
-        }
-        (Type::Bag(elem_ty), ReqTree::Node { labels, child }) => {
-            let (old_dict, old_child) = match old_mat {
-                Value::Tuple(cs) if cs.len() == 2 => match &cs[0] {
-                    Value::Dict(d) => (d, &cs[1]),
-                    _ => return Err(ShredError::Shape("refresh: expected dictionary".into())),
-                },
-                _ => return Err(ShredError::Shape("refresh: expected (dict × ctx)".into())),
-            };
-            let (full_dict, full_child) = match full {
-                CtxVal::Tuple(cs) if cs.len() == 2 => (cs[0].as_dict()?, &cs[1]),
-                _ => return Err(ShredError::Shape("refresh: full ctx shape".into())),
-            };
-            let (delta_dict, delta_child) = match delta {
-                CtxVal::Tuple(cs) if cs.len() == 2 => (cs[0].as_dict()?, &cs[1]),
-                _ => return Err(ShredError::Shape("refresh: delta ctx shape".into())),
-            };
-            let mut dict = Dictionary::empty();
-            let mut child_req = (**child).clone();
-            for l in labels {
-                let def = match old_dict.get(l) {
-                    Some(existing) => {
-                        // Incremental: old definition ⊎ delta contribution.
-                        let change = apply_dict(delta_dict, l, env_delta)?.unwrap_or_default();
-                        existing.union(&change)
-                    }
-                    None => {
-                        // Initialization of a freshly introduced label.
-                        apply_dict(full_dict, l, env_new)?
-                            .ok_or_else(|| DataError::UndefinedLabel { label: l.clone() })?
-                    }
-                };
-                for (v, _) in def.iter() {
-                    collect(v, elem_ty, &mut child_req)?;
-                }
-                dict.define(l.clone(), def);
-            }
-            let child_val = refresh_level(
-                old_child,
-                full_child,
-                delta_child,
-                elem_ty,
-                &child_req,
-                env_new,
-                env_delta,
-            )?;
-            Ok(Value::Tuple(vec![Value::Dict(dict), child_val]))
-        }
-        _ => Err(ShredError::Shape(
-            "refresh: request/type shape mismatch".into(),
-        )),
-    }
 }
 
 /// Shred every relation of `db` and bind `R__F` / `R__G` in `env`.

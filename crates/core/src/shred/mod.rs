@@ -12,9 +12,10 @@
 //! * [`transform`] — expression shredding `h ↦ (sh^F(h), sh^Γ(h))` (Fig. 6),
 //! * [`values`] — value shredding `s^F / s^Γ` and the nesting function `u`
 //!   (Fig. 9),
-//! * [`exec`] — the request-driven shredded executor (materializes
-//!   dictionary definitions only for labels reachable from the flat output,
-//!   i.e. the paper's domain-maintenance discipline),
+//! * [`exec`] — the shredded executor: materializes dictionary definitions
+//!   only for labels reachable from the flat output and keeps that domain
+//!   exact under updates, in place (the paper's domain-maintenance
+//!   discipline),
 //! * [`consistency`] — the consistency checks of Appendix C.3.
 
 pub mod consistency;
@@ -24,7 +25,10 @@ pub mod types;
 pub mod values;
 
 pub use consistency::{check_consistent, ConsistencyError};
-pub use exec::{bind_shredded_database, eval_shredded, eval_shredded_nested, refresh_ctx};
+pub use exec::{
+    bind_shredded_database, eval_shredded, eval_shredded_nested, maintain_ctx, materialize,
+    CtxWork, LabelRefs,
+};
 pub use transform::{shred_query, Shredded, Shredder};
 pub use types::{shred_type_ctx, shred_type_flat};
 pub use values::{nest_bag, nest_value, shred_bag, shred_value, LabelGen, INPUT_LABEL_BASE};

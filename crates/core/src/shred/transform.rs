@@ -18,7 +18,8 @@
 use super::types::{shred_type_ctx, shred_type_flat};
 use super::ShredError;
 use crate::expr::{Expr, ScalarRef};
-use crate::typecheck::{infer, TypeEnv, TypeError};
+use crate::optimize::map_scalar_refs;
+use crate::typecheck::{infer, resolve_ref, TypeEnv, TypeError};
 use nrc_data::Type;
 
 /// The result of shredding a query.
@@ -70,6 +71,62 @@ impl Shredder {
         let v = format!("__l{}", self.next_label_var);
         self.next_label_var += 1;
         v
+    }
+
+    /// The label `inL_ι(ε)` and dictionary `[(ι,Π) ↦ body]` of a nested
+    /// singleton with flat body `body`, with the label **narrowed**: `ε`
+    /// keeps, per free element variable of the body, only the component
+    /// paths the body reads — the whole variable only where it is used whole
+    /// (`sng(m)`, an inner label argument `m`) — and the body is rewritten to
+    /// read its parameters: a read of `m.2.1` under the captured path `m.2`
+    /// becomes component `.1` of the parameter named `m.2`.
+    ///
+    /// Sound because the body is a function of exactly those components (and
+    /// of the database, which every label of one dictionary shares): tuples
+    /// that agree on them get one label and one definition — §5.2's
+    /// agreement condition holds by construction, in every context.
+    fn narrowed_label(&self, index: u32, body: Expr) -> Result<(Expr, Expr), ShredError> {
+        // In `(var, path)` order a path sorts before its extensions, so
+        // keeping a read only when no kept path is its prefix leaves the
+        // minimal prefix-free set (just `[]` when the variable is used
+        // whole).
+        let mut captured: Vec<ScalarRef> = Vec::new();
+        for r in body.free_scalar_refs() {
+            let covered = |c: &ScalarRef| c.var == r.var && r.path.starts_with(&c.path);
+            if !captured.iter().any(covered) {
+                captured.push(r);
+            }
+        }
+        // `m.2` cannot clash with a source-level variable name.
+        let params = captured
+            .iter()
+            .map(|c| Ok((c.to_string(), resolve_ref(c, &self.shred_env)?)))
+            .collect::<Result<Vec<_>, TypeError>>()?;
+        let mut vars: Vec<&String> = captured.iter().map(|c| &c.var).collect();
+        vars.dedup();
+        let mut narrowed = body;
+        for var in vars {
+            narrowed = map_scalar_refs(&narrowed, var, &|sr| {
+                let c = captured
+                    .iter()
+                    .find(|c| c.var == sr.var && sr.path.starts_with(&c.path))
+                    .expect("every free read is covered by a captured path");
+                ScalarRef {
+                    var: c.to_string(),
+                    path: sr.path[c.path.len()..].to_vec(),
+                }
+            });
+        }
+        let label = Expr::InLabel {
+            index,
+            args: captured,
+        };
+        let dict = Expr::DictSng {
+            index,
+            params,
+            body: Box::new(narrowed),
+        };
+        Ok((label, dict))
     }
 
     /// Shred `e : Bag(B)`, producing `(sh^F(e), sh^Γ(e))` and `B`.
@@ -158,27 +215,7 @@ impl Shredder {
             Expr::Sng { body, .. } => {
                 let index = self.fresh_index();
                 let (bf, bg) = self.go(body)?;
-                // ε: the free element variables of the *flat* body, with
-                // their flat types from the shredded environment.
-                let mut free: Vec<String> = bf.free_elem_vars().into_iter().collect();
-                free.sort();
-                let mut params = Vec::with_capacity(free.len());
-                let mut args = Vec::with_capacity(free.len());
-                for v in &free {
-                    let t = self
-                        .shred_env
-                        .lookup_elem(v)
-                        .cloned()
-                        .ok_or_else(|| TypeError::UnknownElemVar(v.clone()))?;
-                    params.push((v.clone(), t));
-                    args.push(ScalarRef::var(v.clone()));
-                }
-                let flat = Expr::InLabel { index, args };
-                let dict = Expr::DictSng {
-                    index,
-                    params,
-                    body: Box::new(bf),
-                };
+                let (flat, dict) = self.narrowed_label(index, bf)?;
                 Ok((flat, Expr::CtxTuple(vec![dict, bg])))
             }
             Expr::Empty { elem_ty } => Ok((
@@ -396,17 +433,18 @@ mod tests {
     #[test]
     fn related_shreds_to_inlabel_and_dict() {
         let s = shred_query(&related_query(), &movies_env()).unwrap();
-        // Flat: for m in M__F union (sng(m.1) × inL_1(m))  (modulo lets)
+        // Flat: for m in M__F union (sng(m.1) × inL_1(m.1, m.2, m.3))
+        // (modulo lets) — isRelated reads all three components.
         let f = s.flat.to_string();
         assert!(f.contains("M__F"), "flat = {f}");
-        assert!(f.contains("inL_1(m)"), "flat = {f}");
+        assert!(f.contains("inL_1(m.1, m.2, m.3)"), "flat = {f}");
         assert!(
             !f.contains("sng_"),
             "flat must not contain nested singletons: {f}"
         );
-        // Ctx: contains the dictionary [(ι1, m) ↦ relB^F(m)].
+        // Ctx: contains the dictionary [(ι1, m.1, m.2, m.3) ↦ relB^F].
         let g = s.ctx.to_string();
-        assert!(g.contains("[(ι1, m) ↦"), "ctx = {g}");
+        assert!(g.contains("[(ι1, m.1, m.2, m.3) ↦"), "ctx = {g}");
         assert!(s.flat.is_inc_nrc() && s.ctx.is_inc_nrc());
     }
 
@@ -502,8 +540,10 @@ mod tests {
             Expr::Let { body, .. } => match &**body {
                 Expr::CtxTuple(parts) => match &parts[0] {
                     Expr::DictSng { params, .. } => {
+                        // The outer body reads `m` only as `m.1`, through
+                        // the inner label's argument.
                         assert_eq!(params.len(), 1);
-                        assert_eq!(params[0].0, "m");
+                        assert_eq!(params[0].0, "m.1");
                     }
                     other => panic!("expected DictSng, got {other}"),
                 },
@@ -511,6 +551,49 @@ mod tests {
             },
             other => panic!("expected Let, got {other}"),
         }
+    }
+
+    /// The shredding of `q` over movies must emit the label `inL_1(args)`
+    /// and define it by `[(ι1, args) ↦ …]`, with a closed body.
+    fn assert_label(q: &Expr, args: &str) {
+        let s = shred_query(q, &movies_env()).unwrap();
+        let (f, g) = (s.flat.to_string(), s.ctx.to_string());
+        assert!(f.contains(&format!("inL_1({args})")), "flat = {f}");
+        let params = if args.is_empty() {
+            String::new()
+        } else {
+            format!(" {args}")
+        };
+        assert!(g.contains(&format!("[(ι1,{params}) ↦")), "ctx = {g}");
+        assert!(s.ctx.free_elem_vars().is_empty(), "ctx = {g}");
+    }
+
+    #[test]
+    fn labels_capture_only_the_components_the_body_reads() {
+        // bygenre: the body reads m.2 alone — one label per genre.
+        let bygenre = for_(
+            "m",
+            rel("M"),
+            sng(
+                0,
+                for_where(
+                    "m2",
+                    rel("M"),
+                    cmp("m2", vec![1], crate::expr::CmpOp::Eq, "m", vec![1]),
+                    proj_sng("m2", vec![0]),
+                ),
+            ),
+        );
+        assert_label(&bygenre, "m.2");
+        // Nothing read: one label for every m.
+        assert_label(&for_("m", rel("M"), sng(0, rel("M"))), "");
+        // Used whole: the variable itself, whatever else is read.
+        let whole = for_(
+            "m",
+            rel("M"),
+            sng(0, product(vec![elem_sng("m"), proj_sng("m", vec![1])])),
+        );
+        assert_label(&whole, "m");
     }
 
     #[test]

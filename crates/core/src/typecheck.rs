@@ -429,7 +429,7 @@ pub fn typecheck(e: &Expr, db: &Database) -> Result<Type, TypeError> {
     infer(e, &mut env)
 }
 
-fn resolve_ref(r: &ScalarRef, env: &TypeEnv) -> Result<Type, TypeError> {
+pub(crate) fn resolve_ref(r: &ScalarRef, env: &TypeEnv) -> Result<Type, TypeError> {
     let t = env
         .lookup_elem(&r.var)
         .ok_or_else(|| TypeError::UnknownElemVar(r.var.clone()))?;

@@ -323,6 +323,18 @@ impl Dictionary {
         self.entries.retain_entries(|id, _| keep(id.as_label()));
     }
 
+    /// Take `l` out of the support, returning its definition (`None` when
+    /// it was not defined; nothing is copied then). Domain maintenance drops
+    /// a label this way the moment its last reference goes.
+    pub fn remove(&mut self, l: &Label) -> Option<Bag> {
+        let id = Self::label_id(l)?;
+        let definition = self.entries.get(id)?.clone();
+        self.entries
+            .upsert_with::<std::convert::Infallible>(id, |_| Ok(None))
+            .unwrap_or_else(|never| match never {});
+        Some(definition)
+    }
+
     /// Total cardinality of all definitions (sum of absolute multiplicities).
     pub fn total_cardinality(&self) -> u64 {
         self.entries.iter().map(|(_, b)| b.cardinality()).sum()

@@ -25,8 +25,8 @@ use nrc_core::shred::values::{
     add_ctx_value, add_ctx_value_in_place, empty_ctx_value, shred_bag, LabelGen,
 };
 use nrc_core::shred::{
-    ctx_name, eval_shredded, flat_name, nest_bag, refresh_ctx, shred_query, shred_type_ctx,
-    shred_type_flat, Shredded,
+    ctx_name, flat_name, maintain_ctx, materialize, nest_bag, shred_query, shred_type_ctx,
+    shred_type_flat, CtxWork, LabelRefs, Shredded,
 };
 use nrc_core::typecheck::TypeEnv;
 use nrc_core::Expr;
@@ -342,12 +342,15 @@ fn set_deep(
 pub struct ShreddedView {
     /// The original (possibly non-IncNRC⁺) query.
     pub query: Expr,
-    /// Its shredding.
+    /// Its shredding (the context simplified).
     pub shredded: Shredded,
     /// Materialized flat result.
     pub flat_result: Bag,
     /// Materialized context (dictionaries restricted to reachable labels).
     pub ctx_result: Value,
+    /// How many elements carry each label of `ctx_result`: what keeps its
+    /// supports exact without ever re-deriving them from the flat result.
+    refs: LabelRefs,
     /// Per input variable (`R__F` / `R__G`): simplified delta of the flat
     /// query.
     flat_deltas: BTreeMap<String, Expr>,
@@ -365,8 +368,11 @@ impl ShreddedView {
         store: &ShreddedStore,
     ) -> Result<ShreddedView, EngineError> {
         let tenv_orig = TypeEnv::from_database(db);
-        let shredded = shred_query(&query, &tenv_orig)?;
+        let mut shredded = shred_query(&query, &tenv_orig)?;
         let tenv = store.type_env()?;
+        // Dead context bindings go, so that a dictionary body shows its
+        // generator `for x in S where P …` to set-at-a-time application.
+        shredded.ctx = simplify(&shredded.ctx, &tenv)?;
         let mut flat_deltas = BTreeMap::new();
         let mut ctx_deltas = BTreeMap::new();
         for rel in query.free_relations() {
@@ -386,7 +392,7 @@ impl ShreddedView {
         }
         let mut env = Env::new(db);
         store.bind_env(&mut env)?;
-        let (flat_result, ctx_result) = eval_shredded(&shredded, &mut env)?;
+        let (flat_result, ctx_result, refs) = materialize(&shredded, &mut env)?;
         let stats = ViewStats {
             reevaluations: 1,
             eval_steps: env.steps,
@@ -398,6 +404,7 @@ impl ShreddedView {
             shredded,
             flat_result,
             ctx_result,
+            refs,
             flat_deltas,
             ctx_deltas,
             stats,
@@ -405,8 +412,9 @@ impl ShreddedView {
     }
 
     /// Apply a shredded update to relation `rel`, maintaining the flat
-    /// result incrementally and the context dictionaries per §2.2 (delta on
-    /// existing labels, initialization of new labels).
+    /// result incrementally and the context dictionaries in place per §2.2
+    /// (delta into the labels it changes, initialization of labels that
+    /// become reachable, removal of labels that stop being).
     ///
     /// `db` is the (flat-world) database — only used as the evaluation
     /// anchor; `store_before` must be the shredded store *before* the
@@ -481,8 +489,8 @@ impl ShreddedView {
         binding: DeltaBinding<'_>,
         parallel: bool,
     ) -> Result<(), EngineError> {
-        // Old environment with the update bound (used for the context delta
-        // and, later, label initialization inside `refresh_ctx`).
+        // Pre-update environment with the update bound: what both deltas
+        // are evaluated against.
         let bind_update = |env: &mut Env<'_>| -> Result<(), EngineError> {
             match &binding {
                 DeltaBinding::Flat(b) => env.bind_let(dvar.to_owned(), Value::Bag((*b).clone())),
@@ -496,88 +504,74 @@ impl ShreddedView {
 
         let flat_delta = self.flat_deltas.get(var);
         let ctx_delta = self.ctx_deltas.get(var);
+        let obs = nrc_obs::enabled();
+        let eval_flat =
+            |env: &mut Env<'_>| timed(obs, || flat_delta.map(|d| eval_query(d, env)).transpose());
+        let resolve_delta =
+            |env: &mut Env<'_>| timed(obs, || ctx_delta.map(|d| resolve_ctx(d, env)).transpose());
 
-        // 1 + 2. Flat view refresh and context-delta resolution. The two
-        // evaluations read the same immutable pre-update state, so when both
-        // are non-trivial they run on separate workers, each with its own
-        // (cheap, copy-on-write) environment.
-        let (flat_change, delta_ctxval) = if parallel && flat_delta.is_some() && ctx_delta.is_some()
-        {
-            let env_ctx = &mut env_delta;
-            let (flat_res, ctx_res) = rayon::join(
-                || -> Result<(Bag, u64), EngineError> {
-                    let mut env_flat = Env::new(db);
-                    store.bind_env(&mut env_flat)?;
-                    bind_update(&mut env_flat)?;
-                    let change = eval_query(flat_delta.expect("checked"), &mut env_flat)?;
-                    Ok((change, env_flat.steps))
-                },
-                || -> Result<CtxVal, EngineError> {
-                    Ok(resolve_ctx(ctx_delta.expect("checked"), env_ctx)?)
-                },
-            );
-            let (change, flat_steps) = flat_res?;
-            env_delta.steps += flat_steps;
-            (Some(change), ctx_res?)
-        } else {
-            let flat_change = match flat_delta {
-                Some(d) => Some(eval_query(d, &mut env_delta)?),
-                None => None,
+        // 1 + 2. Flat delta and context-delta resolution. The two read the
+        // same immutable pre-update state, so when both are non-trivial
+        // they can run on separate workers, each with its own (cheap,
+        // copy-on-write) environment.
+        let ((flat_change, flat_ns), (delta_ctx, delta_ns)) =
+            if parallel && flat_delta.is_some() && ctx_delta.is_some() {
+                let env_ctx = &mut env_delta;
+                let (flat_res, ctx_res) = rayon::join(
+                    || -> Result<_, EngineError> {
+                        let mut env_flat = Env::new(db);
+                        store.bind_env(&mut env_flat)?;
+                        bind_update(&mut env_flat)?;
+                        Ok((eval_flat(&mut env_flat), env_flat.steps))
+                    },
+                    || resolve_delta(env_ctx),
+                );
+                let (flat_res, flat_steps) = flat_res?;
+                env_delta.steps += flat_steps;
+                (flat_res, ctx_res)
+            } else {
+                (eval_flat(&mut env_delta), resolve_delta(&mut env_delta))
             };
-            let delta_ctxval = match ctx_delta {
-                Some(d) => resolve_ctx(d, &mut env_delta)?,
-                None => {
-                    // No dependence: the delta context is empty.
-                    let empty = empty_ctx(&self.shredded.elem_ty)?;
-                    resolve_from_value(&empty)?
-                }
-            };
-            (flat_change, delta_ctxval)
-        };
-        let new_flat = match &flat_change {
-            Some(change) => {
-                self.stats.last_delta_card = change.cardinality();
-                self.flat_result.union(change)
-            }
-            None => self.flat_result.clone(),
-        };
+        let flat_change = flat_change?;
+        if let Some(change) = &flat_change {
+            self.stats.last_delta_card = change.cardinality();
+        }
+        let flat_change = flat_change.unwrap_or_default();
+        let delta_ctx = delta_ctx?;
 
-        // Sparse fast path: when the delta context is fully extensional
-        // (its changed labels are enumerable — e.g. deep updates) and the
-        // flat view gained no new tuples, apply the dictionary deltas by
-        // pointwise `⊎` instead of re-walking every reachable label. Cost:
-        // O(|changed labels|), the paper's deep-update promise.
-        let flat_grew = flat_change
-            .as_ref()
-            .map(|c| c.iter().any(|(_, m)| m > 0))
-            .unwrap_or(false);
-        if !flat_grew {
-            if let Ok(delta_value) = delta_ctxval.to_value() {
-                add_ctx_value_in_place(&mut self.ctx_result, &delta_value)?;
-                self.stats.refresh_steps += env_delta.steps;
-                self.flat_result = new_flat;
-                return Ok(());
+        // 3. The dictionaries, in place. Labels that become reachable are
+        // initialized from the full context over the post-update store.
+        let (work, apply_ns) = timed(obs, || -> Result<CtxWork, EngineError> {
+            let mut store_after = store.clone();
+            apply_binding_to_store(&mut store_after, var, &binding)?;
+            let mut env_new = Env::new(db);
+            store_after.bind_env(&mut env_new)?;
+            let full_ctx = resolve_ctx(&self.shredded.ctx, &mut env_new)?;
+            env_delta.steps += env_new.steps;
+            Ok(maintain_ctx(
+                &mut self.ctx_result,
+                &mut self.refs,
+                &self.shredded.elem_ty,
+                &self.flat_result,
+                &flat_change,
+                delta_ctx.as_ref(),
+                &full_ctx,
+                db,
+            )?)
+        });
+        let work = work?;
+        self.flat_result.union_assign(&flat_change);
+        self.stats.refresh_steps += env_delta.steps;
+        if obs {
+            record_ctx_work(&work);
+            for (phase, ns) in [
+                ("shred_flat_delta", flat_ns),
+                ("shred_ctx_delta", delta_ns),
+                ("shred_dict_apply", apply_ns),
+            ] {
+                nrc_obs::trace::span(phase, var, ns);
             }
         }
-
-        let mut store_after = store.clone();
-        apply_binding_to_store(&mut store_after, var, &binding)?;
-        let mut env_new = Env::new(db);
-        store_after.bind_env(&mut env_new)?;
-        let full_ctxval = resolve_ctx(&self.shredded.ctx, &mut env_new)?;
-
-        let new_ctx = refresh_ctx(
-            &self.ctx_result,
-            &full_ctxval,
-            &delta_ctxval,
-            &self.shredded.elem_ty,
-            &new_flat,
-            &env_new,
-            &env_delta,
-        )?;
-        self.stats.refresh_steps += env_delta.steps + env_new.steps;
-        self.flat_result = new_flat;
-        self.ctx_result = new_ctx;
         Ok(())
     }
 
@@ -619,12 +613,29 @@ fn apply_binding_to_store(
     Err(EngineError::UnknownRelation(var.to_owned()))
 }
 
-fn empty_ctx(elem_ty: &Type) -> Result<Value, EngineError> {
-    Ok(empty_ctx_value(elem_ty)?)
+/// `f()` and, when `on`, the nanoseconds it took.
+fn timed<T>(on: bool, f: impl FnOnce() -> T) -> (T, u64) {
+    let start = on.then(std::time::Instant::now);
+    let out = f();
+    (out, start.map_or(0, |t| t.elapsed().as_nanos() as u64))
 }
 
-fn resolve_from_value(v: &Value) -> Result<CtxVal, EngineError> {
-    Ok(CtxVal::from_value(v)?)
+/// Add one dictionary-maintenance pass to the `engine.shred.*` counters.
+fn record_ctx_work(work: &CtxWork) {
+    use std::sync::{Arc, LazyLock};
+    static COUNTERS: LazyLock<[Arc<nrc_obs::Counter>; 4]> = LazyLock::new(|| {
+        [
+            nrc_obs::counter("engine.shred.labels_touched"),
+            nrc_obs::counter("engine.shred.labels_initialized"),
+            nrc_obs::counter("engine.shred.labels_removed"),
+            nrc_obs::counter("engine.shred.body_evals"),
+        ]
+    });
+    let [touched, initialized, removed, body_evals] = &*COUNTERS;
+    touched.add(work.labels_touched);
+    initialized.add(work.labels_initialized);
+    removed.add(work.labels_removed);
+    body_evals.add(work.body_evals);
 }
 
 /// Count the dictionary entries in a context value (statistics).

@@ -20,6 +20,7 @@ use crate::stats::{BatchStats, ViewStats};
 use crate::view::{FirstOrderView, ReevalView};
 use nrc_core::delta::coalesce_updates;
 use nrc_core::shred::nest_value;
+use nrc_core::typecheck::is_flat_type;
 use nrc_core::Expr;
 use nrc_data::{intern, Bag, Database, Label, Value};
 use rayon::prelude::*;
@@ -1138,6 +1139,9 @@ impl IvmSystem {
     fn shred_update(&mut self, rel: &str, delta: &Bag) -> Result<ShreddedUpdate, EngineError> {
         let store = self.ensure_store()?;
         let elem_ty = store.schemas[rel].clone();
+        // Without inner bags a flat tuple *is* its nested tuple: a deleted
+        // tuple is looked up, not searched for.
+        let nests_to_itself = is_flat_type(&elem_ty);
         let mut insertions = Bag::empty();
         let mut flat_deletions = Bag::empty();
         for (v, m) in delta.iter() {
@@ -1146,15 +1150,19 @@ impl IvmSystem {
             } else {
                 // Locate an existing flat tuple whose nesting equals v.
                 let (flat, ctx) = &store.inputs[rel];
-                let found = flat.iter().find_map(|(fv, fm)| {
-                    if fm <= 0 {
-                        return None;
-                    }
-                    match nest_value(fv, &elem_ty, ctx) {
-                        Ok(nested) if &nested == v => Some(fv.clone()),
-                        _ => None,
-                    }
-                });
+                let found = if nests_to_itself {
+                    (flat.multiplicity(v) > 0).then(|| v.clone())
+                } else {
+                    flat.iter().find_map(|(fv, fm)| {
+                        if fm <= 0 {
+                            return None;
+                        }
+                        match nest_value(fv, &elem_ty, ctx) {
+                            Ok(nested) if &nested == v => Some(fv.clone()),
+                            _ => None,
+                        }
+                    })
+                };
                 match found {
                     Some(fv) => flat_deletions.insert(fv, m),
                     None => {
@@ -1354,6 +1362,37 @@ mod tests {
             sys.apply_update("R", &bogus),
             Err(EngineError::UnmatchedDeletion(_))
         ));
+    }
+
+    #[test]
+    fn flat_relations_match_deletions_by_lookup() {
+        // No inner bag in M: a deleted tuple is its own flat form. A
+        // present tuple cancels; an absent one is reported exactly like a
+        // failed scan.
+        let mut sys = IvmSystem::new(example_movies());
+        sys.register("sh", related_query(), Strategy::Shredded)
+            .unwrap();
+        assert!(matches!(
+            sys.apply_update("M", &example_movies_update().negate()),
+            Err(EngineError::UnmatchedDeletion(_))
+        ));
+        let present = sys
+            .database()
+            .get("M")
+            .unwrap()
+            .iter()
+            .next()
+            .unwrap()
+            .0
+            .clone();
+        sys.apply_update("M", &Bag::from_pairs([(present.clone(), -1)]))
+            .unwrap();
+        assert_eq!(sys.store().unwrap().inputs["M"].0.multiplicity(&present), 0);
+        let mut expected = nrc_core::eval::Env::new(sys.database());
+        assert_eq!(
+            sys.view("sh").unwrap(),
+            nrc_core::eval::eval_query(&related_query(), &mut expected).unwrap()
+        );
     }
 
     #[test]

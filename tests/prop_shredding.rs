@@ -179,3 +179,240 @@ fn theorem_5_shredded_queries_are_recursively_incrementalizable() {
         "only {exercised} derivations exercised"
     );
 }
+
+/// Label narrowing and in-place domain maintenance, end to end: nested
+/// singletons whose bodies read none / some / all components of their free
+/// variable, or the variable whole, maintained by the engine over random
+/// insert + delete streams.
+mod narrowed_labels {
+    use super::common;
+    use nrc_core::builder::*;
+    use nrc_core::eval::{eval_query, Env};
+    use nrc_core::expr::{BoolExpr, CmpOp, Expr};
+    use nrc_data::{Bag, BaseType, Database, Label, Type, Value};
+    use nrc_engine::{IvmSystem, Strategy, UpdateBatch, ViewStateSnapshot};
+    use std::collections::BTreeSet;
+
+    /// Small component domains, so that tuples agree on components often.
+    const DOMAIN: u64 = 4;
+
+    /// xorshift64: the stream is a function of the seed alone.
+    struct Rng(u64);
+
+    impl Rng {
+        fn new(seed: u64) -> Rng {
+            Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % n
+        }
+    }
+
+    /// What the body of the outer singleton reads of its variable `x`.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Reads {
+        Nothing,
+        /// One component, through an equality the join can use.
+        One(usize),
+        /// One component, through a comparison no equality covers: the
+        /// all-labels fallback.
+        OneUnkeyed(usize),
+        /// All three (the `related` shape: `≠` and a disjunction).
+        All,
+        /// The variable itself.
+        Whole,
+        /// One component at the outer level and, in a singleton nested in
+        /// the body, one component of the body's own variable.
+        TwoLevels(usize, usize),
+    }
+
+    fn where_(var: &str, source: Expr, p: BoolExpr, body: Expr) -> Expr {
+        for_where(var, source, p, body)
+    }
+
+    fn eq(a: &str, i: usize, b: &str, j: usize) -> BoolExpr {
+        cmp(a, vec![i], CmpOp::Eq, b, vec![j])
+    }
+
+    /// `for x in R union ⟨x.head, {body}⟩`.
+    fn query(reads: Reads, head: usize) -> Expr {
+        let body = match reads {
+            Reads::Nothing => for_("y", rel("R"), proj_sng("y", vec![0])),
+            Reads::One(i) => where_("y", rel("R"), eq("y", i, "x", i), proj_sng("y", vec![0])),
+            Reads::OneUnkeyed(i) => where_(
+                "y",
+                rel("R"),
+                cmp("y", vec![i], CmpOp::Lt, "x", vec![i]).or(BoolExpr::Const(false)),
+                proj_sng("y", vec![0]),
+            ),
+            Reads::All => where_(
+                "y",
+                rel("R"),
+                cmp("x", vec![0], CmpOp::Ne, "y", vec![0])
+                    .and(eq("x", 1, "y", 1).or(eq("x", 2, "y", 2))),
+                proj_sng("y", vec![0]),
+            ),
+            Reads::Whole => where_("y", rel("R"), eq("y", 1, "x", 1), elem_sng("x")),
+            Reads::TwoLevels(i, j) => where_(
+                "y",
+                rel("R"),
+                eq("y", i, "x", i),
+                sng(
+                    0,
+                    where_("z", rel("R"), eq("z", j, "y", j), proj_sng("z", vec![0])),
+                ),
+            ),
+        };
+        for_("x", rel("R"), pair(proj_sng("x", vec![head]), sng(0, body)))
+    }
+
+    fn tuple(rng: &mut Rng) -> Value {
+        Value::Tuple(
+            (0..3)
+                .map(|_| Value::int(rng.below(DOMAIN) as i64))
+                .collect(),
+        )
+    }
+
+    /// Per dictionary of `ctx` (in type order, outer levels first): the
+    /// labels carried by `population` — flat values of type `ty` — at that
+    /// position, beside the dictionary's support. The definitions of the
+    /// carried labels are the population of the next level; a label
+    /// without one is a missing definition.
+    fn reachable(
+        population: &[Value],
+        ty: &Type,
+        ctx: &Value,
+        out: &mut Vec<(BTreeSet<Label>, BTreeSet<Label>)>,
+    ) {
+        match (ty, ctx) {
+            (Type::Base(_), _) => {}
+            (Type::Tuple(ts), Value::Tuple(cs)) => {
+                for (i, (t, c)) in ts.iter().zip(cs).enumerate() {
+                    let component: Vec<Value> = population
+                        .iter()
+                        .map(|v| v.project(i).unwrap().clone())
+                        .collect();
+                    reachable(&component, t, c, out);
+                }
+            }
+            (Type::Bag(elem), Value::Tuple(node)) => {
+                let dict = node[0].as_dict().expect("dictionary");
+                let labels: BTreeSet<Label> = population
+                    .iter()
+                    .map(|v| v.as_label().unwrap().clone())
+                    .collect();
+                let below: Vec<Value> = labels
+                    .iter()
+                    .flat_map(|l| {
+                        dict.get(l)
+                            .unwrap_or_else(|| panic!("{l} is undefined"))
+                            .iter()
+                    })
+                    .map(|(v, _)| v.clone())
+                    .collect();
+                out.push((labels, dict.support().cloned().collect()));
+                reachable(&below, elem, &node[1], out);
+            }
+            _ => panic!("context {ctx} does not match {ty}"),
+        }
+    }
+
+    #[test]
+    fn narrowed_labels_stay_exact_under_update_streams() {
+        let variants = [
+            Reads::Nothing,
+            Reads::One(1),
+            Reads::One(2),
+            Reads::OneUnkeyed(1),
+            Reads::All,
+            Reads::Whole,
+            Reads::TwoLevels(1, 2),
+            Reads::TwoLevels(2, 2),
+        ];
+        for seed in 0..common::case_count(48) {
+            let mut rng = Rng::new(seed);
+            let reads = variants[(seed % variants.len() as u64) as usize];
+            let q = query(reads, rng.below(3) as usize);
+            let int = Type::Base(BaseType::Int);
+            let mut db = Database::new();
+            let initial = Bag::from_values((0..rng.below(8)).map(|_| tuple(&mut rng)));
+            db.insert_relation(
+                "R",
+                Type::Tuple(vec![int.clone(), int.clone(), int]),
+                initial,
+            );
+            let mut sys = IvmSystem::new(db);
+            sys.register("v", q.clone(), Strategy::Shredded)
+                .unwrap_or_else(|e| panic!("seed {seed}: register {q}: {e}"));
+
+            for step in 0..8 {
+                if step > 0 {
+                    // A batch of inserts and of deletes of present tuples.
+                    let mut updates = Vec::new();
+                    let mut present: Vec<Value> = sys
+                        .database()
+                        .get("R")
+                        .unwrap()
+                        .iter_expanded()
+                        .cloned()
+                        .collect();
+                    for _ in 0..1 + rng.below(4) {
+                        let delta = if rng.below(2) == 0 || present.is_empty() {
+                            Bag::from_values([tuple(&mut rng)])
+                        } else {
+                            let at = rng.below(present.len() as u64) as usize;
+                            Bag::from_pairs([(present.swap_remove(at), -1)])
+                        };
+                        updates.push(("R".to_owned(), delta));
+                    }
+                    sys.apply_batch(&UpdateBatch::from_updates(updates))
+                        .unwrap_or_else(|e| panic!("seed {seed} step {step}: {q}: {e}"));
+                }
+                let at = format!("seed {seed} step {step} ({reads:?})");
+
+                // Shredded ≡ direct evaluation.
+                let mut env = Env::new(sys.database());
+                let direct = eval_query(&q, &mut env).expect("direct");
+                assert_eq!(sys.view("v").unwrap(), direct, "{at}: {q}");
+
+                // Support = labels reachable from the flat view.
+                let ViewStateSnapshot::Shredded { flat, ctx, elem_ty } =
+                    sys.view_state("v").unwrap()
+                else {
+                    panic!("{at}: not shredded")
+                };
+                let population: Vec<Value> = flat.iter().map(|(v, _)| v.clone()).collect();
+                let mut levels = Vec::new();
+                reachable(&population, &elem_ty, &ctx, &mut levels);
+                let expected_levels = if matches!(reads, Reads::TwoLevels(..)) {
+                    2
+                } else {
+                    1
+                };
+                assert_eq!(levels.len(), expected_levels, "{at}");
+                for (labels, support) in &levels {
+                    assert_eq!(support, labels, "{at}: orphaned definitions in {q}");
+                }
+
+                // Tuples that agree on what the body reads share a label.
+                let r = sys.database().get("R").unwrap();
+                let read: BTreeSet<Vec<Value>> = r
+                    .iter()
+                    .map(|(t, _)| match reads {
+                        Reads::Nothing => vec![],
+                        Reads::One(i) | Reads::OneUnkeyed(i) | Reads::TwoLevels(i, _) => {
+                            vec![t.project(i).unwrap().clone()]
+                        }
+                        Reads::All | Reads::Whole => vec![t.clone()],
+                    })
+                    .collect();
+                assert_eq!(levels[0].0.len(), read.len(), "{at}: labels of {q}");
+            }
+        }
+    }
+}
