@@ -1,5 +1,5 @@
-//! Ablation: how much does the algebraic simplifier (DESIGN.md — "deltas
-//! are normalized before costing/materializing") buy at delta-evaluation
+//! Ablation: how much does the algebraic simplifier (`docs/ARCHITECTURE.md`
+//! — deltas are normalized before costing/materializing) buy at delta-evaluation
 //! time? Raw Fig.-4 deltas carry ∅ subterms and degenerate comprehensions;
 //! this bench evaluates raw vs simplified deltas for the E4 query suite.
 

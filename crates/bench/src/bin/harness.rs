@@ -1,144 +1,31 @@
-//! The experiment harness: regenerates every quantitative claim of the
-//! paper (experiments E1–E7, DESIGN.md §3) and prints markdown tables
-//! (stdout) plus machine-readable JSON (`results/experiments.json`).
+//! The experiment harness: regenerates the paper's quantitative claims
+//! (experiments E1–E8, plus the E14 planner ablation; see
+//! `docs/PERFORMANCE.md`) and prints markdown tables (stdout) plus
+//! machine-readable JSON (`results/experiments.json`).
 //!
 //! Usage:
 //!
 //! ```text
-//! harness [--quick] [e1 e2 …]            # default: all experiments, full sizes
-//! harness check-budget [REPORT BUDGET]   # structured gate: REPORT's metric(s) vs
-//!                                        # BUDGET's ceiling(s); defaults to the E10
-//!                                        # memory pair (results/e10_memory.json
-//!                                        # vs results/memory_budget.json). The
-//!                                        # latency gate passes
-//!                                        # results/e11_latency.json
-//!                                        # results/latency_budget.json; the
-//!                                        # recovery gate results/e13_durable.json
-//!                                        # results/durable_budget.json (a budget
-//!                                        # file may carry several {metric,max}
-//!                                        # entries — all must pass).
+//! harness [--quick] [e1 e2 …]   # default: all experiments, full sizes
 //! ```
+//!
+//! An unknown experiment id or flag is an error (exit status 2), so a
+//! typo'd CI step cannot pass having run nothing.
 
 use nrc_bench::Table;
 use nrc_bench::{
-    budget, e10_gc, e11_latency, e12_serve, e13_durable, e14_planner, e16_timetravel, e17_obs,
-    e1_related, e2_filter, e3_recursive, e4_cost, e5_deep, e6_circuit, e7_degree, e8_batch,
-    e9_intern,
+    e14_planner, e1_related, e2_filter, e3_recursive, e4_cost, e5_deep, e6_circuit, e7_degree,
+    e8_batch,
 };
 use std::io::Write;
 
-/// Run E9 and persist its machine-readable report — the artifact the CI
-/// `replay-smoke` job budgets against (interned replay must stay ≥1.5×
-/// the seed representation on first-order and shredded).
-fn run_e9(quick: bool) -> Table {
-    let report = e9_intern::measure(quick);
-    if let Err(e) = e9_intern::write_replay_report(&report, "results/e9_replay.json") {
-        eprintln!("warning: could not write results/e9_replay.json: {e}");
-    }
-    e9_intern::report_table(&report)
-}
-
-/// Run E10 and persist its machine-readable report — the artifact the CI
-/// `memory-smoke` job budgets against.
-fn run_e10(quick: bool) -> Table {
-    let report = e10_gc::measure(quick);
-    if let Err(e) = e10_gc::write_memory_report(&report, "results/e10_memory.json") {
-        eprintln!("warning: could not write results/e10_memory.json: {e}");
-    }
-    e10_gc::report_table(&report)
-}
-
-/// Run E11 and persist its machine-readable report — the artifact the CI
-/// `latency-smoke` job budgets against.
-fn run_e11(quick: bool) -> Table {
-    let report = e11_latency::measure(quick);
-    if let Err(e) = e11_latency::write_latency_report(&report, "results/e11_latency.json") {
-        eprintln!("warning: could not write results/e11_latency.json: {e}");
-    }
-    e11_latency::report_table(&report)
-}
-
-/// Run E12 and persist its machine-readable report — the artifact the CI
-/// `serve-smoke` job budgets against.
-fn run_e12(quick: bool) -> Table {
-    let report = e12_serve::measure(quick);
-    if let Err(e) = e12_serve::write_serve_report(&report, "results/e12_serve.json") {
-        eprintln!("warning: could not write results/e12_serve.json: {e}");
-    }
-    e12_serve::report_table(&report)
-}
-
-/// Run E13 and persist its machine-readable report — the artifact the CI
-/// `recovery-smoke` job budgets against.
-fn run_e13(quick: bool) -> Table {
-    let report = e13_durable::measure(quick);
-    if let Err(e) = e13_durable::write_durable_report(&report, "results/e13_durable.json") {
-        eprintln!("warning: could not write results/e13_durable.json: {e}");
-    }
-    e13_durable::report_table(&report)
-}
-
-/// Run E14 and persist its machine-readable report — the artifact the CI
-/// `planner-smoke` job budgets against.
-fn run_e14(quick: bool) -> Table {
-    let report = e14_planner::measure(quick);
-    if let Err(e) = e14_planner::write_planner_report(&report, "results/e14_planner.json") {
-        eprintln!("warning: could not write results/e14_planner.json: {e}");
-    }
-    e14_planner::report_table(&report)
-}
-
-/// Run E16 and persist its machine-readable report — the artifact the CI
-/// `timetravel-smoke` job budgets against.
-fn run_e16(quick: bool) -> Table {
-    let report = e16_timetravel::measure(quick);
-    if let Err(e) = e16_timetravel::write_timetravel_report(&report, "results/e16_timetravel.json")
-    {
-        eprintln!("warning: could not write results/e16_timetravel.json: {e}");
-    }
-    e16_timetravel::report_table(&report)
-}
-
-/// Run E17 and persist its machine-readable report plus the all-layer
-/// metrics snapshot — the artifacts the CI `obs-smoke` job budgets
-/// against.
-fn run_e17(quick: bool) -> Table {
-    let report = e17_obs::measure(quick);
-    if let Err(e) = e17_obs::write_obs_report(&report, "results/e17_obs.json") {
-        eprintln!("warning: could not write results/e17_obs.json: {e}");
-    }
-    if let Err(e) = e17_obs::write_metrics_snapshot("results/e17_metrics.json") {
-        eprintln!("warning: could not write results/e17_metrics.json: {e}");
-    }
-    e17_obs::report_table(&report)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("check-budget") {
-        let report = args
-            .get(1)
-            .map(String::as_str)
-            .unwrap_or("results/e10_memory.json");
-        let budget_file = args
-            .get(2)
-            .map(String::as_str)
-            .unwrap_or("results/memory_budget.json");
-        match budget::check_budget(report, budget_file) {
-            Ok(msg) => println!("{msg}"),
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-    let quick = args.iter().any(|a| a == "--quick");
-    let selected: Vec<&str> = args
+    let (flags, selected): (Vec<&str>, Vec<&str>) = args
         .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(|s| s.as_str())
-        .collect();
+        .map(String::as_str)
+        .partition(|a| a.starts_with("--"));
+    let quick = flags.contains(&"--quick");
     let want = |id: &str| selected.is_empty() || selected.contains(&id);
 
     type Runner = fn(bool) -> Table;
@@ -152,23 +39,22 @@ fn main() {
         ("e6", e6_circuit::run),
         ("e7", e7_degree::run),
         ("e8", e8_batch::run),
-        ("e9", run_e9),
-        ("e10", run_e10),
-        ("e11", run_e11),
-        ("e12", run_e12),
-        ("e13", run_e13),
-        ("e14", run_e14),
-        ("e16", run_e16),
-        ("e17", run_e17),
+        ("e14", e14_planner::run),
     ];
     let known: Vec<&str> = runs.iter().map(|(id, _)| *id).collect();
-    for sel in &selected {
-        if !known.contains(sel) {
-            eprintln!(
-                "warning: unknown experiment `{sel}` (known: {})",
-                known.join(", ")
-            );
-        }
+    let unknown: Vec<&str> = selected
+        .iter()
+        .filter(|sel| !known.contains(sel))
+        .chain(flags.iter().filter(|f| **f != "--quick"))
+        .copied()
+        .collect();
+    if !unknown.is_empty() {
+        eprintln!(
+            "error: unknown argument(s) `{}` (flags: --quick; experiments: {})",
+            unknown.join("`, `"),
+            known.join(", ")
+        );
+        std::process::exit(2);
     }
     for (id, f) in runs {
         if want(id) {

@@ -9,15 +9,16 @@
 //! via `register_query` (auto) and once per strategy via
 //! `register_query_with` (hand), ingesting identical batch streams, and
 //! reporting `auto_vs_best_pct`: the worst-case ratio (in percent) of the
-//! auto-picked ingest time to the best hand-picked one. The CI
-//! `planner-smoke` job gates that number at ≤ 125 (within 1.25× of best on
-//! every workload).
+//! auto-picked ingest time to the best hand-picked one. The table is
+//! informational, not a gate: at these sizes the cells are sub-microsecond,
+//! and the regression it would catch — the cost model sending a shape to
+//! the wrong strategy — is pinned deterministically by the `plan.chosen`
+//! assertions in `nrc_core::plan`.
 
 use crate::report::{fmt_us, Table};
 use nrc_data::Bag;
 use nrc_engine::{IvmSystem, Strategy, UpdateBatch};
 use nrc_workloads::{StreamConfig, StreamGen};
-use serde::Serialize;
 
 /// The movie schema every workload queries (matches `StreamGen`).
 const SCHEMA: &str = "relation M(name: Str, gen: Str, dir: Str);";
@@ -95,7 +96,7 @@ const STRATEGIES: [(&str, Strategy); 4] = [
 ];
 
 /// One hand-picked strategy's measurement for a workload.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct HandResult {
     /// Strategy name.
     pub strategy: String,
@@ -104,7 +105,7 @@ pub struct HandResult {
 }
 
 /// One workload's ablation row.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct WorkloadResult {
     /// Workload id (the E1–E8 shape it replays).
     pub id: String,
@@ -125,12 +126,10 @@ pub struct WorkloadResult {
     pub hands: Vec<HandResult>,
 }
 
-/// The machine-readable E14 report (`results/e14_planner.json`).
-#[derive(Clone, Debug, Serialize)]
+/// The E14 measurements behind [`report_table`].
+#[derive(Clone, Debug)]
 pub struct PlannerReport {
-    /// Ran at quick sizes?
-    pub quick: bool,
-    /// Worst `pct` across workloads — the budget gate's metric.
+    /// Worst `pct` across workloads.
     pub auto_vs_best_pct: u64,
     /// Initial relation cardinality.
     pub n: usize,
@@ -138,8 +137,6 @@ pub struct PlannerReport {
     pub batches: usize,
     /// Raw updates per batch.
     pub batch_size: usize,
-    /// Timing repetitions per cell.
-    pub reps: usize,
     /// Per-workload rows.
     pub workloads: Vec<WorkloadResult>,
 }
@@ -248,19 +245,12 @@ pub fn measure(quick: bool) -> PlannerReport {
     }
     let auto_vs_best_pct = workloads.iter().map(|w| w.pct).max().unwrap_or(0);
     PlannerReport {
-        quick,
         auto_vs_best_pct,
         n,
         batches: nbatches,
         batch_size,
-        reps: REPS,
         workloads,
     }
-}
-
-/// Persist the machine-readable report.
-pub fn write_planner_report(r: &PlannerReport, path: &str) -> std::io::Result<()> {
-    crate::write_json_report(r, path)
 }
 
 /// Render the report as a harness table.
@@ -292,8 +282,8 @@ pub fn report_table(r: &PlannerReport) -> Table {
         ]);
     }
     t.note(format!(
-        "auto_vs_best_pct {} (budget ≤ 125): the planner's pick stays within \
-         1.25× of the best hand-picked strategy on every E1–E8 workload shape",
+        "auto_vs_best_pct {}: worst ratio of the planner's pick to the best \
+         hand-picked strategy over the E1–E8 workload shapes (ungated)",
         r.auto_vs_best_pct
     ));
     t
@@ -355,7 +345,7 @@ mod tests {
     }
 
     #[test]
-    fn quick_report_covers_every_workload_within_budget_shape() {
+    fn quick_report_covers_every_workload() {
         let report = measure(true);
         assert_eq!(report.workloads.len(), WORKLOADS.len());
         assert!(report.auto_vs_best_pct >= 100 - 50);

@@ -7,7 +7,7 @@
 //! `Bag(C)^Γ = (L ↦ Bag(C^F)) × C^Γ`.
 //!
 //! Two generalizations over the paper's presentation, both definable inside
-//! the paper's calculus and documented in DESIGN.md:
+//! the paper's calculus and documented in `docs/ARCHITECTURE.md`:
 //!
 //! * products are n-ary (`Product(vec![a, b])` is the paper's binary `×`);
 //! * projection singletons may follow a path of component indices

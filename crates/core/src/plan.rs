@@ -141,15 +141,6 @@ pub struct QueryPlan {
     pub candidates: Vec<Candidate>,
     /// The assumed update cardinality `d` the estimates were built with.
     pub update_card: u64,
-    /// The *observed* per-batch coalesced delta cardinality of the
-    /// relations this query reads (the maximum of the engine's per-relation
-    /// EWMAs, `engine.relation.<name>.delta_card_ewma`), when the
-    /// registering system has processed batches touching them. The planner
-    /// does not consume this yet — it exists to audit the assumed
-    /// `update_card` (`DEFAULT_UPDATE_CARD = 16`) against reality. `None`
-    /// straight out of `plan_query` or when no relevant batch has been
-    /// observed.
-    pub observed_card: Option<u64>,
 }
 
 impl QueryPlan {
@@ -180,15 +171,6 @@ impl fmt::Display for QueryPlan {
             .collect();
         if !others.is_empty() {
             write!(f, " over {}", others.join(", "))?;
-        }
-        // Appended last: callers match on the prefix of the line.
-        if let Some(observed) = self.observed_card {
-            write!(
-                f,
-                "; observed d≈{} (assumed {})",
-                humanize(observed),
-                humanize(self.update_card)
-            )?;
         }
         Ok(())
     }
@@ -380,7 +362,6 @@ pub fn plan_query(
         est: Some(winner.0),
         candidates,
         update_card,
-        observed_card: None,
     })
 }
 

@@ -151,25 +151,10 @@ impl IvmSystem {
     /// assert_eq!(sys.view("dramas").unwrap().cardinality(), 1);
     /// ```
     pub fn register_query(&mut self, name: &str, src: &str) -> Result<QueryPlan, NrcError> {
-        let mut plan = parse_and_plan(name, src, self.database(), DEFAULT_UPDATE_CARD)?;
+        let plan = parse_and_plan(name, src, self.database(), DEFAULT_UPDATE_CARD)?;
         self.register(name, plan.query.clone(), plan.chosen.into())
             .map_err(|e| NrcError::engine(e, src))?;
-        plan.observed_card = self.observed_card_for(&plan.query);
         Ok(plan)
-    }
-
-    /// The observed-cardinality hint for a query: the maximum per-relation
-    /// delta-cardinality EWMA over the relations the query reads — `None`
-    /// when none of them has been touched by a batch yet. This is what
-    /// makes the planner's assumed `DEFAULT_UPDATE_CARD` auditable against
-    /// the live stream (the hint is advisory; estimates still use the
-    /// assumed `d`).
-    fn observed_card_for(&self, query: &nrc_core::Expr) -> Option<u64> {
-        query
-            .free_relations()
-            .iter()
-            .filter_map(|rel| self.delta_card_ewma(rel))
-            .max()
     }
 
     /// Like [`IvmSystem::register_query`], but force `strategy` instead of
@@ -191,7 +176,6 @@ impl IvmSystem {
         // no estimate for it (rejected, but the engine accepted it anyway),
         // never another candidate's number.
         plan.est = plan.candidate(plan.chosen).and_then(|c| c.est);
-        plan.observed_card = self.observed_card_for(&plan.query);
         Ok(plan)
     }
 }
@@ -200,7 +184,6 @@ impl IvmSystem {
 mod tests {
     use super::*;
     use crate::error::NrcError;
-    use crate::system::UpdateBatch;
     use nrc_data::database::{example_movies, example_movies_update};
 
     #[test]
@@ -312,31 +295,5 @@ mod tests {
             sys.register_query("v", "M"),
             Err(NrcError::Engine { .. })
         ));
-    }
-
-    #[test]
-    fn observed_cardinality_hint_follows_the_delta_ewma() {
-        let mut sys = IvmSystem::new(example_movies());
-        // Before any batch touches M there is no observation to report.
-        let plan = sys
-            .register_query("d1", "for m in M where m.2 == \"Drama\" union sng(m)")
-            .unwrap();
-        assert!(plan.observed_card.is_none());
-        assert!(!plan.to_string().contains("observed d≈"));
-
-        // The EWMA tracks *batch* deltas (`apply_batch` is where streams
-        // land); a bare `apply_update` bypasses it by design.
-        let mut batch = UpdateBatch::new();
-        batch.push("M", example_movies_update());
-        sys.apply_batch(&batch).unwrap();
-        let ewma = sys.delta_card_ewma("M").expect("EWMA seeded by the batch");
-
-        // A later registration over the same relation carries the hint —
-        // and renders it next to the assumed planning cardinality.
-        let plan = sys
-            .register_query("d2", "for m in M where m.2 == \"Drama\" union sng(m)")
-            .unwrap();
-        assert_eq!(plan.observed_card, Some(ewma));
-        assert!(plan.to_string().contains("observed d≈"));
     }
 }

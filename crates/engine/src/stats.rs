@@ -66,10 +66,9 @@ pub struct BatchStats {
     /// Wall time of the most recent collection pause, in nanoseconds
     /// (`0` until the policy first fires).
     pub last_collect_nanos: u64,
-    /// The longest single collection pause observed, in nanoseconds — the
-    /// figure the latency budget (experiment E11) gates on. Bounded
-    /// policies keep this near `max_slots`-worth of sweep work; full
-    /// sweeps let it grow with the accumulated garbage.
+    /// The longest single collection pause observed, in nanoseconds. A
+    /// budgeted policy keeps this near `max_slots`-worth of sweep work; a
+    /// full sweep lets it grow with the accumulated garbage.
     pub max_collect_nanos: u64,
     /// Dying-list entries still queued after the most recent collection —
     /// nonzero when a bounded sweep left backlog for its next increment.

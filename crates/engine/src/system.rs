@@ -76,21 +76,16 @@ pub enum ViewStateSnapshot {
 /// cadence, at the quiescent point after a batch's refreshes complete.
 ///
 /// Steady-state memory of an unbounded stream of ever-fresh values is
-/// bounded under any policy but [`CollectPolicy::Never`]; experiment E10
-/// quantifies the bound and the (small) throughput cost, and experiment E11
-/// the *pause* profile: [`CollectPolicy::Bounded`] trades a little
-/// steady-state headroom for a hard per-pause sweep budget — the policy for
-/// latency-sensitive serving, where one stop-the-world sweep on the
-/// `apply_batch` hot path is the dominant tail-latency source.
+/// bounded under [`CollectPolicy::Bounded`] (`tests/arena_reclaim_guard.rs`
+/// pins it by slot counts; the ledger's `engine.gc.*` and
+/// `data.arena.peak_live` rows price it): each increment has a hard
+/// per-pause sweep budget, so no stop-the-world sweep ever sits on the
+/// `apply_batch` hot path. A budget of `u64::MAX` is a full sweep.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CollectPolicy {
     /// Never collect (the PR-2 behavior: the arena only grows).
     #[default]
     Never,
-    /// Fully collect after every `n`-th batch (`EveryN(1)` = every batch).
-    /// Stop-the-world: the pause grows with the garbage accumulated since
-    /// the previous sweep.
-    EveryN(u64),
     /// Incremental collection: after every `every`-th batch, run one
     /// *bounded* sweep increment (`nrc_data::intern::collect_bounded_now`)
     /// that frees at most `max_slots` arena slots and leaves the rest of
@@ -109,54 +104,16 @@ pub enum CollectPolicy {
         /// batch, the tightest pacing).
         every: u64,
     },
-    /// Collect after any batch that leaves the arena above a watermark —
-    /// on occupied **slots** (`live`), on occupied **bytes** (`bytes`,
-    /// from `ArenaStats::bytes`), or, when both are `0`, **auto-tuned**:
-    /// the byte threshold re-arms at a multiple of the observed
-    /// post-collection live bytes, tracking the workload's real working
-    /// set instead of a hand-picked constant (see
-    /// [`CollectPolicy::watermark_auto`]).
-    HighWatermark {
-        /// Live-slot threshold that triggers a collection (`0` = disabled).
-        live: u64,
-        /// Live-byte threshold that triggers a collection (`0` = disabled).
-        bytes: u64,
-    },
 }
 
 impl CollectPolicy {
-    /// A slot-count watermark (the PR-3 behavior).
-    pub fn watermark_live(live: u64) -> CollectPolicy {
-        CollectPolicy::HighWatermark { live, bytes: 0 }
-    }
-
-    /// A byte watermark over `ArenaStats::bytes` — the right unit when
-    /// interned values vary in size (a slot holding a long string is not a
-    /// slot holding a bool). `bytes` is clamped to at least 1 so an
-    /// explicit threshold never reads as auto-tuning.
-    pub fn watermark_bytes(bytes: u64) -> CollectPolicy {
-        CollectPolicy::HighWatermark {
-            live: 0,
-            bytes: bytes.max(1),
-        }
-    }
-
-    /// A self-tuning byte watermark: the first batch seeds the threshold
-    /// from the observed arena bytes, and every collection re-arms it at
-    /// a fixed multiple of the post-collection live bytes (with a small
-    /// floor) — collections fire when the arena has roughly doubled past
-    /// the live working set, whatever that working set is.
-    pub fn watermark_auto() -> CollectPolicy {
-        CollectPolicy::HighWatermark { live: 0, bytes: 0 }
-    }
-
     /// Self-tuning bounded pacing: one increment per batch whose per-pause
     /// sweep budget is sized from the *observed garbage rate* — an EWMA
     /// (α = ¼) of dying-slot production between increments, with 1.5×
-    /// headroom and a small floor — re-armed after every collection, like
-    /// [`CollectPolicy::watermark_auto`]. Reclamation keeps up with
-    /// whatever the workload's churn turns out to be while each pause stays
-    /// proportional to that churn instead of a hand-picked `max_slots`.
+    /// headroom and a small floor — re-armed after every collection.
+    /// Reclamation keeps up with whatever the workload's churn turns out to
+    /// be while each pause stays proportional to that churn instead of a
+    /// hand-picked `max_slots`.
     pub fn bounded_auto() -> CollectPolicy {
         CollectPolicy::Bounded {
             max_slots: 0,
@@ -356,10 +313,6 @@ pub struct IvmSystem {
     parallelism: Parallelism,
     /// Memory-reclamation cadence for the batch path.
     collect_policy: CollectPolicy,
-    /// The auto-tuned byte threshold for `CollectPolicy::watermark_auto`:
-    /// seeded from the first batch's observed arena bytes, re-armed after
-    /// every collection from the post-collection live bytes.
-    auto_watermark_bytes: Option<u64>,
     /// EWMA of dying-slot production between bounded increments, for
     /// [`CollectPolicy::bounded_auto`]. `None` until the first increment.
     auto_bounded_ewma: Option<u64>,
@@ -377,13 +330,6 @@ pub struct IvmSystem {
     last_view_deltas: BTreeMap<String, Bag>,
     /// Counters for the batched maintenance path.
     batch_stats: BatchStats,
-    /// Per-relation EWMA (α = ¼, same smoothing as the auto-bounded GC
-    /// budget) of the coalesced delta cardinality each batch applied —
-    /// the observed counterpart of the planner's assumed
-    /// `DEFAULT_UPDATE_CARD`, exported as
-    /// `engine.relation.<name>.delta_card_ewma` and surfaced through
-    /// `QueryPlan::observed_card`.
-    delta_card_ewma: BTreeMap<String, u64>,
 }
 
 impl IvmSystem {
@@ -396,26 +342,13 @@ impl IvmSystem {
             stale: Default::default(),
             parallelism: Parallelism::default(),
             collect_policy: CollectPolicy::default(),
-            auto_watermark_bytes: None,
             auto_bounded_ewma: None,
             bounded_pending_baseline: 0,
             capture: DeltaCapture::Off,
             capture_pre: BTreeMap::new(),
             last_view_deltas: BTreeMap::new(),
             batch_stats: BatchStats::default(),
-            delta_card_ewma: BTreeMap::new(),
         }
-    }
-
-    /// The observed EWMA of coalesced delta cardinality for `rel`, if any
-    /// batch touching it has been applied (see the field docs).
-    pub fn delta_card_ewma(&self, rel: &str) -> Option<u64> {
-        self.delta_card_ewma.get(rel).copied()
-    }
-
-    /// All per-relation delta-cardinality EWMAs observed so far.
-    pub fn delta_card_ewmas(&self) -> &BTreeMap<String, u64> {
-        &self.delta_card_ewma
     }
 
     /// Select how [`IvmSystem::apply_batch`] executes view refreshes.
@@ -429,11 +362,10 @@ impl IvmSystem {
     }
 
     /// Select when [`IvmSystem::apply_batch`] reclaims memory. Switching
-    /// policies re-seeds the auto-tuned watermark (if the new policy uses
-    /// one) from the next batch.
+    /// policies re-seeds the auto-sized budget (if the new policy uses one)
+    /// from the next batch.
     pub fn set_collect_policy(&mut self, policy: CollectPolicy) {
         self.collect_policy = policy;
-        self.auto_watermark_bytes = None;
         self.auto_bounded_ewma = None;
         // Auto-bounded production is measured from the policy switch, not
         // from whatever backlog predates it.
@@ -758,15 +690,7 @@ impl IvmSystem {
             segments += 1;
             let card = delta.cardinality();
             delta_card += card;
-            // Observed-cardinality groundwork for the planner: smooth each
-            // relation's coalesced delta size with the same α = ¼ EWMA the
-            // auto-bounded GC budget uses.
-            let ewma = nrc_obs::ewma_u64(self.delta_card_ewma.get(rel).copied(), card);
-            self.delta_card_ewma.insert(rel.clone(), ewma);
             if let Some(t) = seg_start {
-                nrc_obs::global()
-                    .gauge(&format!("engine.relation.{rel}.delta_card_ewma"))
-                    .set_u64(ewma);
                 nrc_obs::trace::span(
                     "segment_refresh",
                     format!("{rel} card={card}"),
@@ -790,8 +714,7 @@ impl IvmSystem {
         }
         self.maybe_collect();
         // Batch timing *includes* any policy-triggered collection pause:
-        // that pause is what the batch's caller actually waits out, and the
-        // figure experiment E11's latency percentiles are built from
+        // that pause is what the batch's caller actually waits out
         // (`collect_nanos`/`max_collect_nanos` break out the share).
         let nanos = start.elapsed().as_nanos() as u64;
         self.batch_stats.batch_nanos += nanos;
@@ -861,10 +784,6 @@ impl IvmSystem {
         // `Some(budget)` = collect now, with `None` meaning a full sweep.
         let due: Option<Option<u64>> = match self.collect_policy {
             CollectPolicy::Never => None,
-            CollectPolicy::EveryN(n) if n > 0 && self.batch_stats.batches_applied % n == 0 => {
-                Some(None)
-            }
-            CollectPolicy::EveryN(_) => None,
             CollectPolicy::Bounded { max_slots, every }
                 if every > 0 && self.batch_stats.batches_applied % every == 0 =>
             {
@@ -875,31 +794,9 @@ impl IvmSystem {
                 }
             }
             CollectPolicy::Bounded { .. } => None,
-            CollectPolicy::HighWatermark { live, bytes } => {
-                let arena = intern::arena_stats();
-                let over = if live == 0 && bytes == 0 {
-                    match self.auto_watermark_bytes {
-                        Some(threshold) => arena.bytes > threshold,
-                        None => {
-                            // First batch under auto-tuning: seed the
-                            // threshold from the observed working set, no
-                            // collection yet.
-                            self.auto_watermark_bytes = Some(Self::auto_threshold(arena.bytes));
-                            false
-                        }
-                    }
-                } else {
-                    (live > 0 && arena.live > live) || (bytes > 0 && arena.bytes > bytes)
-                };
-                over.then_some(None)
-            }
         };
         if let Some(budget) = due {
             self.run_collection(budget);
-            if self.auto_watermark_bytes.is_some() {
-                // Re-arm from the post-collection live working set.
-                self.auto_watermark_bytes = Some(Self::auto_threshold(intern::arena_stats().bytes));
-            }
             if matches!(
                 self.collect_policy,
                 CollectPolicy::Bounded { max_slots: 0, .. }
@@ -927,17 +824,6 @@ impl IvmSystem {
         };
         self.auto_bounded_ewma = Some(ewma);
         (ewma * HEADROOM_NUM / HEADROOM_DEN).max(FLOOR_SLOTS)
-    }
-
-    /// The auto-tuned watermark: fire once the arena roughly doubles past
-    /// the live working set (floored so a near-empty arena does not
-    /// collect every batch).
-    fn auto_threshold(live_bytes: u64) -> u64 {
-        const AUTO_WATERMARK_FACTOR: u64 = 2;
-        const AUTO_WATERMARK_FLOOR_BYTES: u64 = 4096;
-        live_bytes
-            .saturating_mul(AUTO_WATERMARK_FACTOR)
-            .max(AUTO_WATERMARK_FLOOR_BYTES)
     }
 
     /// Reclaim memory immediately with a full stop-the-world sweep: drop
@@ -1491,6 +1377,12 @@ mod batch_tests {
         Value::Tuple(vec![Value::str(name), Value::str(gen), Value::str(dir)])
     }
 
+    /// An unbudgeted increment after every batch: a full sweep.
+    const FULL_SWEEP: CollectPolicy = CollectPolicy::Bounded {
+        max_slots: u64::MAX,
+        every: 1,
+    };
+
     /// A system with all four strategies registered over the movies schema.
     fn four_strategy_system() -> IvmSystem {
         let mut sys = IvmSystem::new(example_movies());
@@ -1635,11 +1527,17 @@ mod batch_tests {
 
     #[test]
     fn collect_policy_preserves_view_contents() {
-        // Same stream of batches under Never vs EveryN(1): identical view
-        // contents, and the collecting system actually runs collections.
+        // Same stream of batches under Never vs a full sweep every batch:
+        // identical view contents, and the collecting system actually runs
+        // collections.
         let mut plain = four_strategy_system();
         let mut collected = four_strategy_system();
-        collected.set_collect_policy(CollectPolicy::EveryN(1));
+        collected.set_collect_policy(FULL_SWEEP);
+        let mut every_other = four_strategy_system();
+        every_other.set_collect_policy(CollectPolicy::Bounded {
+            max_slots: u64::MAX,
+            every: 2,
+        });
         assert_eq!(plain.collect_policy(), CollectPolicy::Never);
         for round in 0..3 {
             let mut batch = UpdateBatch::new();
@@ -1648,15 +1546,17 @@ mod batch_tests {
             }
             plain.apply_batch(&batch).unwrap();
             collected.apply_batch(&batch).unwrap();
+            every_other.apply_batch(&batch).unwrap();
             for view in ["re", "fo", "rc", "sh", "sh_re"] {
                 assert_eq!(
                     plain.view(view).unwrap(),
                     collected.view(view).unwrap(),
-                    "{view} diverged after round {round} under EveryN(1)"
+                    "{view} diverged after round {round} under a full sweep"
                 );
             }
         }
         assert_eq!(collected.batch_stats().collections_run, 3);
+        assert_eq!(every_other.batch_stats().collections_run, 3 / 2);
         assert_eq!(plain.batch_stats().collections_run, 0);
         // The snapshot is taken every batch regardless of policy.
         assert!(plain.batch_stats().arena.live > 0);
@@ -1664,78 +1564,12 @@ mod batch_tests {
     }
 
     #[test]
-    fn high_watermark_policy_triggers_on_occupancy() {
-        let mut sys = four_strategy_system();
-        // Any realistic arena exceeds one live slot, so every batch
-        // collects.
-        sys.set_collect_policy(CollectPolicy::watermark_live(1));
-        let mut batch = UpdateBatch::new();
-        batch.push("M", example_movies_update());
-        sys.apply_batch(&batch).unwrap();
-        assert_eq!(sys.batch_stats().collections_run, 1);
-    }
-
-    #[test]
-    fn byte_watermark_triggers_on_arena_bytes() {
-        let mut sys = four_strategy_system();
-        // One byte: always over; and an explicit 0 must clamp, not turn
-        // into auto-tuning.
-        sys.set_collect_policy(CollectPolicy::watermark_bytes(0));
-        assert_eq!(
-            sys.collect_policy(),
-            CollectPolicy::HighWatermark { live: 0, bytes: 1 }
-        );
-        let mut batch = UpdateBatch::new();
-        batch.push("M", example_movies_update());
-        sys.apply_batch(&batch).unwrap();
-        assert_eq!(sys.batch_stats().collections_run, 1);
-    }
-
-    #[test]
-    fn auto_watermark_seeds_then_fires_as_the_arena_grows() {
-        let mut sys = four_strategy_system();
-        sys.set_collect_policy(CollectPolicy::watermark_auto());
-        // First batch only seeds the threshold from the observed bytes.
-        let mut batch = UpdateBatch::new();
-        batch.push("M", example_movies_update());
-        sys.apply_batch(&batch).unwrap();
-        assert_eq!(sys.batch_stats().collections_run, 0);
-        // Grow the arena well past 2× the seeded working set with large
-        // fresh payloads; the auto watermark must fire and re-arm.
-        let mut fresh = UpdateBatch::new();
-        for i in 0..64 {
-            fresh.push(
-                "M",
-                Bag::from_values([movie(
-                    &format!("auto-tune-payload-{i:04}-{}", "x".repeat(256)),
-                    "Action",
-                    "Mann",
-                )]),
-            );
-        }
-        for _ in 0..8 {
-            sys.apply_batch(&fresh).unwrap();
-            let undo = UpdateBatch::from_updates(
-                fresh
-                    .segments()
-                    .map(|(r, b)| (r.to_string(), b.clone().negate())),
-            );
-            sys.apply_batch(&undo).unwrap();
-        }
-        assert!(
-            sys.batch_stats().collections_run > 0,
-            "auto watermark never fired: {:?}",
-            sys.batch_stats()
-        );
-    }
-
-    #[test]
     fn bounded_policy_paces_reclamation_and_preserves_views() {
-        // Same stream under full EveryN(1) and Bounded sweeps: identical
+        // Same stream under full and budgeted Bounded sweeps: identical
         // view contents, and the bounded system records backlog/pause
         // accounting while never freeing more than its budget per pause.
         let mut full = four_strategy_system();
-        full.set_collect_policy(CollectPolicy::EveryN(1));
+        full.set_collect_policy(FULL_SWEEP);
         let mut bounded = four_strategy_system();
         bounded.set_collect_policy(CollectPolicy::Bounded {
             max_slots: 3,

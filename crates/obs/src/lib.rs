@@ -37,14 +37,13 @@
 //! The [`trace`] module adds the time dimension: a fixed-capacity ring of
 //! per-batch stage timelines (coalesce → refresh → GC → publish → WAL
 //! append → fsync → checkpoint) for post-mortem of the slowest batches.
-//! Overhead is priced by experiment E17 and gated in CI at ≤5% of bare
-//! ingest.
+//! Overhead is priced by the ledger (`benchmark/`, `obs.overhead_share`).
 
 pub mod metrics;
 pub mod registry;
 pub mod trace;
 
-pub use metrics::{ewma_u64, Counter, Gauge, Histogram, HistogramSnapshot, HistogramSummary};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HistogramSummary};
 pub use registry::{enabled, global, set_enabled, MetricsSnapshot, Registry};
 pub use trace::{BatchTrace, FlightRecorder, StageSpan, TraceBuilder};
 

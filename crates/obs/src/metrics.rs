@@ -341,17 +341,6 @@ impl HistogramSummary {
     }
 }
 
-/// Exponentially weighted moving average with α = 1/4, the same smoothing
-/// the engine's self-tuning GC budget uses: `next = (3·prev + sample) / 4`,
-/// seeding from the first sample.
-#[inline]
-pub fn ewma_u64(prev: Option<u64>, sample: u64) -> u64 {
-    match prev {
-        None => sample,
-        Some(p) => (p.saturating_mul(3).saturating_add(sample)) / 4,
-    }
-}
-
 impl Serialize for HistogramSnapshot {
     fn to_json(&self) -> Json {
         self.summary().to_json()
@@ -452,13 +441,5 @@ mod tests {
         assert_eq!(g.get(), -3);
         g.set_u64(u64::MAX);
         assert_eq!(g.get(), i64::MAX);
-    }
-
-    #[test]
-    fn ewma_matches_gc_budget_smoothing() {
-        assert_eq!(ewma_u64(None, 16), 16);
-        assert_eq!(ewma_u64(Some(16), 16), 16);
-        assert_eq!(ewma_u64(Some(0), 16), 4);
-        assert_eq!(ewma_u64(Some(100), 0), 75);
     }
 }

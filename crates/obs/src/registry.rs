@@ -7,11 +7,9 @@
 //!
 //! Names are lowercase dotted paths, `<layer>.<subsystem>.<quantity>[_unit]`:
 //! `engine.batch.apply_ns`, `data.arena.live_values`,
-//! `serve.snapshots.leak_suspects`, `durable.wal.fsync_ns`. Dynamic segments
-//! (a relation name) sit between fixed ones:
-//! `engine.relation.<name>.delta_card_ewma`. The registry does not parse
-//! names — the hierarchy exists for humans and for prefix-grepping the text
-//! exposition.
+//! `serve.snapshots.leak_suspects`, `durable.wal.fsync_ns`. The registry
+//! does not parse names — the hierarchy exists for humans and for
+//! prefix-grepping the text exposition.
 //!
 //! # Locking discipline
 //!
@@ -38,8 +36,9 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Flip the global instrumentation switch (used by E17 to price the
-/// instrumented vs. bare ingest paths; on by default).
+/// Flip the global instrumentation switch (on by default; the ledger's
+/// `obs.overhead_share` prices the instrumented vs. bare ingest paths with
+/// it).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -171,8 +170,8 @@ impl Registry {
 
     /// Zero every metric **in place**. Handles cached by call sites (the
     /// usual `LazyLock` pattern) stay wired to the same atomics and keep
-    /// recording, so a reset separates measurement phases (E17's baseline
-    /// vs. instrumented pass) without invalidating anything. Histogram
+    /// recording, so a reset separates measurement phases without
+    /// invalidating anything. Histogram
     /// shards are kept, merely zeroed.
     pub fn reset(&self) {
         let map = self.metrics.read().expect("registry lock");

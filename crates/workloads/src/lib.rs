@@ -1,7 +1,8 @@
 //! # nrc-workloads
 //!
 //! Seeded, deterministic workload generators for the experiments
-//! (DESIGN.md §3). The paper is a theory paper without a released testbed,
+//! (`docs/PERFORMANCE.md`), the property suites and the ledger
+//! (`benchmark/`). The paper is a theory paper without a released testbed,
 //! so these generators produce synthetic instances shaped to make its
 //! asymptotic claims visible:
 //!
@@ -17,11 +18,11 @@
 //!   maintenance path (E8);
 //! * [`serve_mix`] — deterministic read-op streams (skewed point lookups,
 //!   misses, bounded scans) to run against snapshots while the [`stream`]
-//!   writer ingests — the mixed read/write shape of the serving
-//!   experiment (E12);
+//!   writer ingests — the mixed read/write shape of the ledger's
+//!   `read_mostly` workload;
 //! * [`recovery`] — prebuilt (fully materialized) streams plus seeded
-//!   crash-offset sampling for the durability experiment (E13) and the
-//!   kill-point differential harness.
+//!   crash-offset sampling for the kill-point differential harness
+//!   (`tests/prop_recovery.rs`).
 
 pub mod movies;
 pub mod orders;
@@ -33,6 +34,6 @@ pub mod stream;
 pub use movies::MovieGen;
 pub use orders::OrdersGen;
 pub use recovery::{kill_offsets, RecoveryPlan};
-pub use serve_mix::{reader_op_sets, reader_ops, ReadMixConfig, ReadOp};
+pub use serve_mix::{reader_ops, ReadMixConfig, ReadOp};
 pub use skew::SkewGen;
 pub use stream::{StreamConfig, StreamGen};

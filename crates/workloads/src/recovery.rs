@@ -1,6 +1,6 @@
 //! Kill-point recovery driver: prebuilt deterministic streams and crash
-//! offsets for the durability experiments (E13) and the kill-point
-//! differential harness (`tests/prop_recovery.rs`).
+//! offsets for the kill-point differential harness
+//! (`tests/prop_recovery.rs`).
 //!
 //! Crash testing needs the *same* update stream on three paths — the
 //! uncrashed reference replay, the run that gets killed, and the

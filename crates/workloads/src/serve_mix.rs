@@ -11,7 +11,6 @@
 //! re-executed against a sequential replay at the same batch index must
 //! observe the same results.
 
-use crate::stream::StreamGen;
 use nrc_data::Value;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -63,7 +62,7 @@ impl Default for ReadMixConfig {
 
 /// Generate one reader's deterministic op sequence over a fixed
 /// `population` of candidate point targets (typically
-/// [`StreamGen::live_tuples`] at workload setup). Each reader gets its own
+/// [`crate::StreamGen::live_tuples`] at workload setup). Each reader gets its own
 /// `seed` so concurrent readers exercise different footprints.
 pub fn reader_ops(seed: u64, cfg: &ReadMixConfig, population: &[Value]) -> Vec<ReadOp> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -94,23 +93,10 @@ pub fn reader_ops(seed: u64, cfg: &ReadMixConfig, population: &[Value]) -> Vec<R
     ops
 }
 
-/// Convenience: per-reader op sequences over the generator's current live
-/// population — one `Vec<ReadOp>` per reader, seeds derived from `seed`.
-pub fn reader_op_sets(
-    seed: u64,
-    readers: usize,
-    cfg: &ReadMixConfig,
-    gen: &StreamGen,
-) -> Vec<Vec<ReadOp>> {
-    (0..readers)
-        .map(|r| reader_ops(seed.wrapping_add(1 + r as u64), cfg, gen.live_tuples()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::StreamConfig;
+    use crate::stream::{StreamConfig, StreamGen};
 
     #[test]
     fn reader_ops_are_deterministic_and_respect_the_mix() {
@@ -142,15 +128,5 @@ mod tests {
         let cfg = ReadMixConfig::default();
         let ops = reader_ops(1, &cfg, &[]);
         assert!(ops.iter().all(|op| matches!(op, ReadOp::Scan { .. })));
-    }
-
-    #[test]
-    fn per_reader_sets_differ() {
-        let mut gen = StreamGen::new(5, StreamConfig::default());
-        gen.database(32);
-        let sets = reader_op_sets(42, 3, &ReadMixConfig::default(), &gen);
-        assert_eq!(sets.len(), 3);
-        assert_ne!(sets[0], sets[1]);
-        assert_ne!(sets[1], sets[2]);
     }
 }

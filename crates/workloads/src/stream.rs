@@ -58,11 +58,12 @@ impl Default for StreamConfig {
 }
 
 impl StreamConfig {
-    /// The *ever-fresh churn* shape the memory/latency experiments (E10,
-    /// E11) measure reclamation under: a balanced 50% insert/delete mix —
-    /// so the live tuple population stays roughly flat while every
-    /// insertion interns genuinely fresh payloads — under a caller-unique
-    /// prefix, so no two experiment cells share arena entries.
+    /// The *ever-fresh churn* shape reclamation is measured under (the
+    /// ledger's flat workloads, `tests/arena_reclaim_guard.rs`): a
+    /// balanced 50% insert/delete mix — so the live tuple population stays
+    /// roughly flat while every insertion interns genuinely fresh payloads
+    /// — under a caller-unique prefix, so no two streams share arena
+    /// entries.
     pub fn ever_fresh(batch_size: usize, prefix: &str) -> StreamConfig {
         StreamConfig {
             batch_size,

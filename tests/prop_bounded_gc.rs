@@ -33,16 +33,18 @@ fn arb_budget() -> impl Strategy<Value = u64> {
     prop_oneof![Just(1u64), Just(3), Just(17), Just(u64::MAX)]
 }
 
-/// A random engine-side reclamation policy covering every variant.
+/// A random engine-side reclamation policy covering every mode: never,
+/// a full sweep every `n`-th batch, an explicit budget, the auto-sized one.
 fn arb_policy() -> impl Strategy<Value = CollectPolicy> {
     prop_oneof![
         Just(CollectPolicy::Never),
-        (1u64..4).prop_map(CollectPolicy::EveryN),
+        (1u64..4).prop_map(|every| CollectPolicy::Bounded {
+            max_slots: u64::MAX,
+            every
+        }),
         (1u64..48, 1u64..3)
             .prop_map(|(max_slots, every)| CollectPolicy::Bounded { max_slots, every }),
-        (1u64..400).prop_map(CollectPolicy::watermark_live),
-        (1u64..8192).prop_map(CollectPolicy::watermark_bytes),
-        Just(CollectPolicy::watermark_auto()),
+        Just(CollectPolicy::bounded_auto()),
     ]
 }
 

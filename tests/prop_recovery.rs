@@ -194,6 +194,18 @@ proptest! {
                 .expect("uncrashed apply");
         }
         check_views(&ok_sys, &states[nbatches], "with no crash at all")?;
+        if checkpoint_every == 0 {
+            // One log segment: the fsync cadence is the policy's, plus the
+            // one sync of the creation checkpoint (the WAL never lags a
+            // checkpoint on disk, whatever the policy).
+            let nb = nbatches as u64;
+            let policy_syncs = match fsync {
+                FsyncPolicy::EveryBatch => nb,
+                FsyncPolicy::EveryN(n) => nb / n,
+                FsyncPolicy::Never => 0,
+            };
+            prop_assert_eq!(ok_sys.durable_stats().wal_syncs, 1 + policy_syncs);
+        }
         let total = u64::MAX - meter.remaining();
         prop_assert!(total > 0, "ingest must write guarded bytes");
         drop(ok_sys);
@@ -549,6 +561,16 @@ proptest! {
             ).expect("recover_at");
             prop_assert_eq!(hist.batch_index(), k, "recover_at must land exactly on k");
             prop_assert!(hstats.checkpoint_index <= k);
+            // It starts from the newest checkpoint at or below k: the
+            // replayed gap never reaches one checkpoint interval.
+            prop_assert_eq!(hstats.batches_replayed, k - hstats.checkpoint_index);
+            if checkpoint_every > 0 {
+                prop_assert!(
+                    hstats.batches_replayed < checkpoint_every,
+                    "recover_at({}) replayed {} batches past checkpoint {}",
+                    k, hstats.batches_replayed, hstats.checkpoint_index
+                );
+            }
             check_views(&hist, &states[k as usize], "in the historical snapshot")?;
 
             // Read-only: no writes, registrations or checkpoints, and the

@@ -40,7 +40,10 @@ fn policy_pool(idx: usize) -> CollectPolicy {
             every: 1,
         },
         2 => CollectPolicy::bounded_auto(),
-        _ => CollectPolicy::EveryN(2),
+        _ => CollectPolicy::Bounded {
+            max_slots: u64::MAX,
+            every: 2,
+        },
     }
 }
 
