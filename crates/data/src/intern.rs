@@ -914,7 +914,7 @@ fn approx_bytes(v: &Value) -> u64 {
 // written (under the append mutex) strictly before the length is published
 // with `Release`; `slot` re-reads the length with `Acquire` before indexing,
 // which establishes the happens-before edge for the slot contents no matter
-// how the `Vid` travelled between threads. Reused slots republish their
+// how the `Vid` travelled between threads. Reused slots publish their new
 // contents through the generation counter instead (even = occupied, odd =
 // retired); every field is atomic so republication is race-free.
 // ---------------------------------------------------------------------------

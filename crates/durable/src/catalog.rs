@@ -2,9 +2,10 @@
 //! *self-describing*.
 //!
 //! A [`CatalogEntry`] records one view registration — name, maintenance
-//! [`Strategy`], and (when the query is expressible there) its NRC⁺
-//! surface source — in the order registrations happened. The catalog
-//! lives in two places on disk, mirroring the data itself:
+//! [`Strategy`], and its NRC⁺ surface source — in the order registrations
+//! happened. The catalog is total: a view whose query has no surface form
+//! is refused at registration. It lives in two places on disk, mirroring
+//! the data itself:
 //!
 //! * every **checkpoint** embeds the full catalog at its batch index, so
 //!   recovery from a checkpoint re-registers every view without the
@@ -23,11 +24,11 @@
 //! entry := version:u8(=1) name:str has_src:u8 (src:str)? strategy:u8
 //! ```
 //!
-//! `has_src = 0` marks a view whose query has no surface form (registered
-//! from a raw [`Expr`](nrc_core::Expr) that uses shredding-internal
-//! constructs). Such views cannot be recovered from the catalog alone;
-//! [`DurableSystem::recover_with_views`](crate::DurableSystem::recover_with_views)
-//! is the escape hatch that supplies them by name.
+//! `has_src = 0` marks a view whose query has no surface form (a raw
+//! [`Expr`](nrc_core::Expr) using `Δ^k R` or shredding-internal
+//! constructs). Nothing writes it any more, but older directories may hold
+//! it: such an entry still decodes, and recovery fails on it with
+//! [`DurableError::Uncataloged`].
 
 use crate::error::DurableError;
 use nrc_data::codec;
@@ -41,8 +42,9 @@ pub const CATALOG_VERSION: u8 = 1;
 pub struct CatalogEntry {
     /// View name.
     pub name: String,
-    /// NRC⁺ surface source of the query, when it has one. `None` views
-    /// need [`crate::DurableSystem::recover_with_views`].
+    /// NRC⁺ surface source of the query. `None` only in entries older
+    /// versions wrote; recovery fails on them with
+    /// [`DurableError::Uncataloged`].
     pub source: Option<String>,
     /// Maintenance strategy the view was registered under.
     pub strategy: Strategy,

@@ -46,12 +46,12 @@ pub enum DurableError {
     Serve(ServeError),
     /// The data layer rejected an operation.
     Data(DataError),
-    /// The view cannot be recovered from the on-disk catalog alone: its
-    /// query has no surface form (`source: None` in the catalog), so
-    /// recovery needs the caller to supply it via
-    /// [`DurableSystem::recover_with_views`](crate::DurableSystem::recover_with_views).
+    /// The view's query has no NRC⁺ surface form, so the catalog cannot
+    /// store it: [`DurableSystem::create`](crate::DurableSystem::create)
+    /// refuses such a view, and recovery fails on a catalog entry an older
+    /// version wrote without a source (`source: None`).
     Uncataloged {
-        /// The view whose catalog entry carries no source.
+        /// The view without a surface form.
         view: String,
     },
     /// The retained log no longer covers the requested history — a
@@ -95,7 +95,7 @@ impl fmt::Display for DurableError {
             DurableError::Data(e) => write!(f, "data error: {e}"),
             DurableError::Uncataloged { view } => write!(
                 f,
-                "view {view} has no catalog source; recover_with_views must supply it"
+                "view {view} has no NRC⁺ surface form, so the catalog cannot store it"
             ),
             DurableError::HistoryTruncated { dir, detail } => {
                 write!(

@@ -8,7 +8,9 @@
 //!   durable prefix of the update stream is therefore decided entirely by
 //!   the log: a crash between append and apply loses nothing (recovery
 //!   replays the record); a crash mid-append truncates the torn record and
-//!   the batch was simply never accepted.
+//!   the batch was simply never accepted. A batch that names a relation
+//!   the database does not have is rejected *before* the append, so it
+//!   never reaches the log and the instance stays alive.
 //! * **Log before register.** Post-creation registrations follow the same
 //!   discipline: [`DurableSystem::register_query`] appends a WAL
 //!   *registration record* carrying the view's [`CatalogEntry`] (name,
@@ -24,7 +26,8 @@
 //!   WAL rolls over to a fresh segment based at the checkpoint index.
 //!   Checkpoints bound recovery *time*; they never extend the durable
 //!   prefix, which the WAL alone defines.
-//! * **Recovery** = newest valid checkpoint + log suffix. The embedded
+//! * **Recovery** = newest valid checkpoint + log suffix. The catalog is
+//!   total — every view is registered from NRC⁺ text — so the embedded
 //!   catalog re-registers every view (recomputing its state at the
 //!   checkpoint index) with **no caller-supplied specs**; the recomputed
 //!   states are verified against the checkpoint's persisted view bags;
@@ -32,6 +35,12 @@
 //!   late registrations alike. Recovery is idempotent — it mutates
 //!   nothing but the torn tail truncation — so crashing during or right
 //!   after recovery and recovering again yields the same state.
+//! * **One replay path.** [`DurableSystem::recover`],
+//!   [`DurableSystem::recover_at`] and [`DurableSystem::backfill_query`]
+//!   are the same operation: load a checkpoint into a bare engine,
+//!   register views, replay the log up to a stop index. Only the finished
+//!   engine is wrapped for serving, so a recovered system has published
+//!   exactly one snapshot however much it replayed.
 //! * **Time travel.** Because the catalog makes the directory
 //!   self-describing and `LogRetention::KeepAll` keeps every segment and
 //!   checkpoint, [`DurableSystem::recover_at`] can rebuild the state *as
@@ -58,21 +67,20 @@ use crate::wal::{self, FsyncPolicy, Wal, WalEntry, WalScan};
 use nrc_core::Expr;
 use nrc_data::{Bag, Database};
 use nrc_engine::{
-    query_source, CollectPolicy, IvmSystem, Parallelism, QueryPlan, Strategy, UpdateBatch,
+    query_source, CollectPolicy, EngineError, IvmSystem, Parallelism, QueryPlan, Strategy,
+    UpdateBatch,
 };
-use nrc_serve::{FeedDelta, ServeStats, ServingSystem, Snapshot, SnapshotReader, Subscription};
+use nrc_serve::{
+    FeedDelta, ServeError, ServeStats, ServingSystem, Snapshot, SnapshotReader, Subscription,
+};
 use serde::Serialize;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// A view registration recovery can repeat for a query that has **no NRC⁺
-/// surface form** (registered from a raw [`Expr`] using shredding-internal
-/// constructs, say). Cataloged views — everything registered through
-/// [`DurableSystem::register_query`] or creation-time specs whose query
-/// renders back to source — need no specs at recovery; `ViewSpec`s are the
-/// escape hatch [`DurableSystem::recover_with_views`] feeds the views the
-/// catalog marks `source: None`.
+/// A creation-time view registration for [`DurableSystem::create`]. The
+/// catalog stores views as NRC⁺ text, so the query must have a surface
+/// form: a raw [`Expr`] using `Δ^k R` or shredding-internal constructs is
+/// rejected with [`DurableError::Uncataloged`].
 #[derive(Clone, Debug)]
 pub struct ViewSpec {
     /// View name.
@@ -305,31 +313,171 @@ impl LogSuffix {
     }
 }
 
+/// A finished [`replay`]: the engine at the stop index, and what it took.
+struct Replayed {
+    engine: IvmSystem,
+    /// The views the engine carries, in registration order.
+    catalog: Vec<CatalogEntry>,
+    /// Durable batch index the engine is at.
+    applied: u64,
+    batches_replayed: u64,
+    registrations_replayed: u64,
+    /// The scanned log, for the caller's WAL handle and stats.
+    suffix: LogSuffix,
+}
+
+/// The one log-replay path behind [`DurableSystem::recover`],
+/// [`DurableSystem::recover_at`] and [`DurableSystem::backfill_query`]:
+/// load the checkpoint's relations into a bare engine, register views,
+/// then replay the log from the checkpoint in stream order through
+/// durable batch index `stop`. `reached` runs once at the checkpoint's
+/// index and again after every replayed batch, with the index the engine
+/// is now at.
+///
+/// With `only: None` (recovery) the views are the checkpoint's catalog,
+/// verified against its persisted view bags, then every registration
+/// record of the log. With `only: Some(entry)` (backfill) the engine
+/// carries that one view, and registration records are skipped.
+///
+/// Replay equals live maintenance because a view's state is a pure
+/// function of the database and deltas are additive: registering at the
+/// checkpoint and applying the same batches reaches the state incremental
+/// maintenance carried, whichever caller asks.
+fn replay(
+    dir: &Path,
+    ckpt: &CheckpointData,
+    ckpt_path: &Path,
+    only: Option<&CatalogEntry>,
+    stop: u64,
+    mut reached: impl FnMut(&mut IvmSystem, u64) -> Result<(), DurableError>,
+) -> Result<Replayed, DurableError> {
+    let mut db = Database::new();
+    for (name, ty, bag) in &ckpt.relations {
+        db.insert_relation(name.clone(), ty.clone(), bag.clone());
+    }
+    let mut engine = IvmSystem::new(db);
+    let mut catalog = match only {
+        Some(entry) => vec![entry.clone()],
+        None => ckpt.catalog.clone(),
+    };
+    for entry in &catalog {
+        register_entry(&mut engine, entry)?;
+    }
+    // Integrity gate (recovery): recomputation must reproduce the persisted
+    // view bags exactly — for the checkpoint's own views only, so a view
+    // registered after the checkpoint can never be mistaken for corruption.
+    let gated = if only.is_none() { &ckpt.views[..] } else { &[] };
+    for (name, bag) in gated {
+        if engine.view(name).ok().as_ref() != Some(bag) {
+            return Err(DurableError::Corrupt {
+                path: ckpt_path.to_path_buf(),
+                detail: format!(
+                    "checkpoint view {name} disagrees with recomputation from its relations"
+                ),
+            });
+        }
+    }
+    reached(&mut engine, ckpt.batch_index)?;
+
+    let suffix = LogSuffix::scan(dir, ckpt.batch_index)?;
+    let mut applied = ckpt.batch_index;
+    let mut batches_replayed = 0u64;
+    let mut registrations_replayed = 0u64;
+    for entry in suffix.entries() {
+        match entry {
+            WalEntry::Batch(r) => {
+                if r.batch_index <= applied {
+                    continue; // covered by the checkpoint
+                }
+                if r.batch_index > stop {
+                    break;
+                }
+                if r.batch_index != applied + 1 {
+                    return Err(DurableError::Corrupt {
+                        path: dir.to_path_buf(),
+                        detail: format!("log skips from batch {applied} to {}", r.batch_index),
+                    });
+                }
+                // The replayed batch's trace is keyed by its durable index,
+                // as the live batch's was.
+                let _trace = nrc_obs::trace::guard(r.batch_index);
+                engine.apply_batch(&r.batch).map_err(ServeError::from)?;
+                applied = r.batch_index;
+                batches_replayed += 1;
+                reached(&mut engine, applied)?;
+            }
+            WalEntry::Registration(r) => {
+                if r.at_index > stop {
+                    break;
+                }
+                // Registration replay is idempotent by name: a record whose
+                // view the checkpoint's catalog already carries was
+                // registered above.
+                if only.is_some() || engine.view_names().any(|n| *n == r.entry.name) {
+                    continue;
+                }
+                register_entry(&mut engine, &r.entry)?;
+                catalog.push(r.entry.clone());
+                registrations_replayed += 1;
+            }
+        }
+    }
+    Ok(Replayed {
+        engine,
+        catalog,
+        applied,
+        batches_replayed,
+        registrations_replayed,
+        suffix,
+    })
+}
+
+/// Register one cataloged view on `engine` from its stored NRC⁺ source.
+/// An entry without one (`has_src = 0`, written by older versions) fails
+/// with [`DurableError::Uncataloged`].
+fn register_entry(engine: &mut IvmSystem, entry: &CatalogEntry) -> Result<(), DurableError> {
+    let Some(src) = &entry.source else {
+        return Err(DurableError::Uncataloged {
+            view: entry.name.clone(),
+        });
+    };
+    engine.register_query_with(&entry.name, src, entry.strategy)?;
+    Ok(())
+}
+
 impl DurableSystem {
     /// Create a durable system in `dir` (created if missing): build the
-    /// engine over `db`, register `views`, start the WAL at segment base
-    /// 0, and write the initial checkpoint — catalog included, so the
-    /// directory is self-describing from birth. Creation is provisioning
-    /// and is not kill-guarded; the byte budget (if armed) meters
-    /// subsequent ingest.
+    /// engine over `db`, register `views`, publish once, start the WAL at
+    /// segment base 0, and write the initial checkpoint — catalog
+    /// included, so the directory is self-describing from birth. Creation
+    /// is provisioning and is not kill-guarded; the byte budget (if armed)
+    /// meters subsequent ingest.
+    ///
+    /// Fails with [`DurableError::Uncataloged`], before anything is
+    /// written, if some view's query has no NRC⁺ surface form.
     pub fn create(
         dir: &Path,
         db: Database,
         views: &[ViewSpec],
         opts: DurableOptions,
     ) -> Result<DurableSystem, DurableError> {
-        std::fs::create_dir_all(dir).map_err(|e| crate::error::io_err(dir, e))?;
-        let engine = IvmSystem::new(db);
-        let mut serve = ServingSystem::new(engine)?;
+        let mut engine = IvmSystem::new(db);
         let mut catalog = Vec::with_capacity(views.len());
         for v in views {
-            serve.register(v.name.clone(), v.query.clone(), v.strategy)?;
+            let source = query_source(&v.query).ok_or_else(|| DurableError::Uncataloged {
+                view: v.name.clone(),
+            })?;
+            engine
+                .register(v.name.clone(), v.query.clone(), v.strategy)
+                .map_err(ServeError::from)?;
             catalog.push(CatalogEntry {
                 name: v.name.clone(),
-                source: query_source(&v.query),
+                source: Some(source),
                 strategy: v.strategy,
             });
         }
+        std::fs::create_dir_all(dir).map_err(|e| crate::error::io_err(dir, e))?;
+        let serve = ServingSystem::new(engine)?;
         let wal_path = dir.join(wal::segment_file_name(0));
         let wal = Wal::create(&wal_path, 0, opts.fsync, opts.kill.clone())?;
         let mut sys = DurableSystem {
@@ -356,30 +504,16 @@ impl DurableSystem {
     /// newest valid checkpoint, every cataloged view re-registered from
     /// its stored NRC⁺ source and verified against the checkpoint's
     /// persisted bags, log suffix replayed (batches and late registrations
-    /// in stream order), torn tail truncated.
+    /// in stream order), torn tail truncated. The recovered system has
+    /// published exactly one snapshot.
     ///
-    /// Fails with [`DurableError::Uncataloged`] if some view's query has
-    /// no surface form — [`DurableSystem::recover_with_views`] is the
-    /// escape hatch that supplies those by name.
+    /// Fails with [`DurableError::Uncataloged`] on a catalog entry that
+    /// carries no source (`has_src = 0`, which only older versions wrote).
     pub fn recover(
         dir: &Path,
         opts: DurableOptions,
     ) -> Result<(DurableSystem, RecoveryStats), DurableError> {
-        Self::recover_impl(dir, u64::MAX, &[], opts, false)
-    }
-
-    /// Like [`DurableSystem::recover`], but with caller-supplied
-    /// [`ViewSpec`]s filling in catalog entries whose query has no NRC⁺
-    /// surface form (`source: None`). Specs for views the catalog already
-    /// covers are ignored; specs for views the directory has never seen
-    /// are registered fresh after recovery completes (and cataloged from
-    /// then on).
-    pub fn recover_with_views(
-        dir: &Path,
-        views: &[ViewSpec],
-        opts: DurableOptions,
-    ) -> Result<(DurableSystem, RecoveryStats), DurableError> {
-        Self::recover_impl(dir, u64::MAX, views, opts, false)
+        Self::recover_impl(dir, u64::MAX, opts, false)
     }
 
     /// Point-in-time recovery: rebuild the state **as of durable batch
@@ -397,13 +531,12 @@ impl DurableSystem {
         batch_index: u64,
         opts: DurableOptions,
     ) -> Result<(DurableSystem, RecoveryStats), DurableError> {
-        Self::recover_impl(dir, batch_index, &[], opts, true)
+        Self::recover_impl(dir, batch_index, opts, true)
     }
 
     fn recover_impl(
         dir: &Path,
         max_index: u64,
-        extra: &[ViewSpec],
         opts: DurableOptions,
         read_only: bool,
     ) -> Result<(DurableSystem, RecoveryStats), DurableError> {
@@ -423,105 +556,18 @@ impl DurableSystem {
             });
         };
 
-        // Rebuild the database and re-register every cataloged view at the
-        // checkpoint index (registration evaluates the query over the
-        // database — the purity guarantee makes this equivalent to having
-        // maintained the view all along).
-        let mut db = Database::new();
-        for (name, ty, bag) in &ckpt.relations {
-            db.insert_relation(name.clone(), ty.clone(), bag.clone());
-        }
-        let engine = IvmSystem::new(db);
+        let Replayed {
+            engine,
+            catalog,
+            applied,
+            batches_replayed,
+            registrations_replayed,
+            suffix,
+        } = replay(dir, &ckpt, &ckpt_path, None, max_index, |_, _| Ok(()))?;
+        // Publish once, over the finished engine. Feed indices must stay
+        // stream-absolute: the engine counts batches from the checkpoint.
         let mut serve = ServingSystem::new(engine)?;
-        let mut catalog: Vec<CatalogEntry> = Vec::with_capacity(ckpt.catalog.len());
-        for entry in &ckpt.catalog {
-            Self::register_from_entry(&mut serve, entry, extra)?;
-            catalog.push(entry.clone());
-        }
-
-        // Integrity gate: recomputation must reproduce the persisted view
-        // bags exactly — but only for the views the checkpoint itself
-        // recorded. Gating the caller's whole spec set against the
-        // checkpoint (as this used to) misdiagnosed a view registered
-        // after the checkpoint as corruption and made the directory
-        // unrecoverable; extra views are registered after the gate.
-        let snap = serve.snapshot();
-        let resolved = snap.resolved_views()?;
-        let by_name: BTreeMap<&String, &Bag> = resolved.iter().map(|(n, b)| (n, b)).collect();
-        for (name, bag) in &ckpt.views {
-            if by_name.get(name).copied() != Some(bag) {
-                return Err(DurableError::Corrupt {
-                    path: ckpt_path,
-                    detail: format!(
-                        "checkpoint view {name} disagrees with recomputation from its relations"
-                    ),
-                });
-            }
-        }
-        drop(by_name);
-        drop(resolved);
-        drop(snap);
-
-        // Feed indices must stay stream-absolute: the inner engine counts
-        // batches from the checkpoint, so base it there before replay.
         serve.set_batch_index_base(ckpt.batch_index);
-
-        // Replay the log suffix beyond the checkpoint, batches and late
-        // registrations in stream order, stopping past `max_index`.
-        let suffix = LogSuffix::scan(dir, ckpt.batch_index)?;
-        let mut applied = ckpt.batch_index;
-        let mut batches_replayed = 0u64;
-        let mut registrations_replayed = 0u64;
-        'replay: for entry in suffix.entries() {
-            match entry {
-                WalEntry::Batch(r) => {
-                    if r.batch_index <= applied {
-                        continue; // covered by the checkpoint
-                    }
-                    if r.batch_index > max_index {
-                        break 'replay;
-                    }
-                    if r.batch_index != applied + 1 {
-                        return Err(DurableError::Corrupt {
-                            path: dir.to_path_buf(),
-                            detail: format!("log skips from batch {applied} to {}", r.batch_index),
-                        });
-                    }
-                    serve.apply_batch(&r.batch)?;
-                    applied = r.batch_index;
-                    batches_replayed += 1;
-                }
-                WalEntry::Registration(r) => {
-                    if r.at_index > max_index {
-                        break 'replay;
-                    }
-                    // Registration replay is idempotent by name: a record
-                    // whose view the checkpoint's catalog already carries
-                    // was registered above.
-                    if serve.engine().view_names().any(|n| *n == r.entry.name) {
-                        continue;
-                    }
-                    Self::register_from_entry(&mut serve, &r.entry, extra)?;
-                    catalog.push(r.entry.clone());
-                    registrations_replayed += 1;
-                }
-            }
-        }
-
-        // Escape-hatch specs for views the directory has never seen:
-        // register them fresh, after the gate and the replay, so they can
-        // never be mistaken for (or collide with) recovered state.
-        for spec in extra {
-            if serve.engine().view_names().any(|n| *n == spec.name) {
-                continue;
-            }
-            serve.register(spec.name.clone(), spec.query.clone(), spec.strategy)?;
-            catalog.push(CatalogEntry {
-                name: spec.name.clone(),
-                source: query_source(&spec.query),
-                strategy: spec.strategy,
-            });
-        }
 
         let (torn, wal_handle) = match (read_only, suffix.tip()) {
             // A historical snapshot must not mutate the directory: no
@@ -607,35 +653,23 @@ impl DurableSystem {
         HANDLES.checkpoint_index.set_u64(stats.checkpoint_index);
     }
 
-    /// Register one cataloged view on `serve`: from its stored source when
-    /// it has one, else from a caller-supplied spec of the same name.
-    fn register_from_entry(
-        serve: &mut ServingSystem,
-        entry: &CatalogEntry,
-        extra: &[ViewSpec],
-    ) -> Result<(), DurableError> {
-        match &entry.source {
-            Some(src) => {
-                serve.register_query_with(&entry.name, src, entry.strategy)?;
-            }
-            None => {
-                let Some(spec) = extra.iter().find(|s| s.name == entry.name) else {
-                    return Err(DurableError::Uncataloged {
-                        view: entry.name.clone(),
-                    });
-                };
-                serve.register(spec.name.clone(), spec.query.clone(), entry.strategy)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Durably apply one batch: WAL append (+ policy fsync) first, engine
     /// apply + snapshot publication second, periodic checkpoint third.
-    /// Any failure — including the injected [`DurableError::Killed`] —
+    ///
+    /// A batch with a non-empty segment for a relation the database does
+    /// not have fails with [`EngineError::UnknownRelation`] before the
+    /// append: nothing is logged and the instance stays alive. Any later
+    /// failure — including the injected [`DurableError::Killed`] —
     /// poisons this instance; the directory stays recoverable.
     pub fn apply_batch(&mut self, batch: &UpdateBatch) -> Result<(), DurableError> {
         self.check_writable()?;
+        let db = self.serve.engine().database();
+        if let Some((rel, _)) = batch
+            .segments()
+            .find(|(rel, delta)| !delta.is_empty() && db.get(rel).is_none())
+        {
+            return Err(ServeError::from(EngineError::UnknownRelation(rel.to_owned())).into());
+        }
         let index = self.applied + 1;
         if let Err(e) = self.try_apply(index, batch) {
             self.dead = true;
@@ -801,7 +835,7 @@ impl DurableSystem {
         // History starts at the origin checkpoint (batch 0, written at
         // creation); retention may have pruned it.
         let scan0 = checkpoint::load_newest_at(&self.dir, 0)?;
-        let Some((ckpt0, _)) = scan0.newest else {
+        let Some((ckpt0, ckpt0_path)) = scan0.newest else {
             return Err(DurableError::HistoryTruncated {
                 dir: self.dir.clone(),
                 detail: "no origin checkpoint (batch 0) survives; backfill needs \
@@ -811,48 +845,37 @@ impl DurableSystem {
         };
 
         // Scratch replay: a throwaway engine carrying only the new view,
-        // fed the whole retained stream with delta capture on.
-        let mut db0 = Database::new();
-        for (rel, ty, bag) in &ckpt0.relations {
-            db0.insert_relation(rel.clone(), ty.clone(), bag.clone());
-        }
-        let mut scratch = IvmSystem::new(db0);
-        scratch.register_query_with(name, src, strategy)?;
-        scratch.set_delta_capture_views(std::iter::once(name.to_owned()).collect());
-
-        let mut history = vec![FeedDelta {
-            batch_index: 0,
-            delta: scratch.view(name).map_err(nrc_serve::ServeError::from)?,
-        }];
-        let suffix = LogSuffix::scan(&self.dir, 0)?;
-        let mut replayed_to = 0u64;
-        for entry in suffix.entries() {
-            let WalEntry::Batch(r) = entry else {
-                continue; // other views' registrations: irrelevant here
-            };
-            if r.batch_index <= replayed_to {
-                continue;
-            }
-            if r.batch_index > self.applied {
-                break; // an unacked tail record; the live prefix ends here
-            }
-            scratch
-                .apply_batch(&r.batch)
-                .map_err(nrc_serve::ServeError::from)?;
-            let delta = scratch.take_view_deltas().remove(name).unwrap_or_default();
-            history.push(FeedDelta {
-                batch_index: r.batch_index,
-                delta,
-            });
-            replayed_to = r.batch_index;
-        }
-        if replayed_to != self.applied {
+        // fed the retained stream up to the live index with delta capture
+        // on. The origin state is the change from nothing at index 0.
+        let entry = CatalogEntry {
+            name: name.to_owned(),
+            source: Some(src.to_owned()),
+            strategy,
+        };
+        let mut history = Vec::new();
+        let scratch = replay(
+            &self.dir,
+            &ckpt0,
+            &ckpt0_path,
+            Some(&entry),
+            self.applied,
+            |engine, batch_index| {
+                let delta = if batch_index == ckpt0.batch_index {
+                    engine.set_delta_capture_views(std::iter::once(name.to_owned()).collect());
+                    engine.view(name).map_err(ServeError::from)?
+                } else {
+                    engine.take_view_deltas().remove(name).unwrap_or_default()
+                };
+                history.push(FeedDelta { batch_index, delta });
+                Ok(())
+            },
+        )?;
+        if scratch.applied != self.applied {
             return Err(DurableError::HistoryTruncated {
                 dir: self.dir.clone(),
                 detail: format!(
-                    "retained log replays to batch {replayed_to}, but the live \
-                     system is at batch {}",
-                    self.applied
+                    "retained log replays to batch {}, but the live system is at batch {}",
+                    scratch.applied, self.applied
                 ),
             });
         }
@@ -862,8 +885,8 @@ impl DurableSystem {
         // about history, which poisons this instance like any other
         // durable-path inconsistency.
         let plan = self.serve.register_query_with(name, src, strategy)?;
-        let live = self.serve.view(name).map_err(nrc_serve::ServeError::from)?;
-        let replayed_state = scratch.view(name).map_err(nrc_serve::ServeError::from)?;
+        let live = self.serve.view(name).map_err(ServeError::from)?;
+        let replayed_state = scratch.engine.view(name).map_err(ServeError::from)?;
         if live != replayed_state {
             self.dead = true;
             return Err(DurableError::Corrupt {
@@ -874,6 +897,7 @@ impl DurableSystem {
                 ),
             });
         }
+        let batches_replayed = scratch.batches_replayed;
         drop(scratch);
 
         self.log_registration(CatalogEntry {
@@ -887,7 +911,7 @@ impl DurableSystem {
         Ok(Backfill {
             plan,
             feed,
-            batches_replayed: replayed_to,
+            batches_replayed,
         })
     }
 
@@ -1024,17 +1048,6 @@ impl DurableSystem {
             checkpoints_written: self.checkpoints_written,
             last_checkpoint_index: self.last_checkpoint_index,
         }
-    }
-
-    /// The durable directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Path of the live write-ahead log segment, if this instance holds
-    /// one (historical snapshots do not).
-    pub fn wal_path(&self) -> Option<PathBuf> {
-        self.wal.as_ref().map(|w| w.path().to_path_buf())
     }
 
     /// Pass-through: view refresh execution mode.

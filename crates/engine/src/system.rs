@@ -356,11 +356,6 @@ impl IvmSystem {
         self.parallelism = mode;
     }
 
-    /// The currently selected refresh execution mode.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
     /// Select when [`IvmSystem::apply_batch`] reclaims memory. Switching
     /// policies re-seeds the auto-sized budget (if the new policy uses one)
     /// from the next batch.
@@ -781,16 +776,16 @@ impl IvmSystem {
     /// Run the configured [`CollectPolicy`] at the batch boundary (all
     /// refreshes complete, no evaluation in flight on this system).
     fn maybe_collect(&mut self) {
-        // `Some(budget)` = collect now, with `None` meaning a full sweep.
-        let due: Option<Option<u64>> = match self.collect_policy {
+        // `Some(budget)` = run one bounded increment now.
+        let due: Option<u64> = match self.collect_policy {
             CollectPolicy::Never => None,
             CollectPolicy::Bounded { max_slots, every }
                 if every > 0 && self.batch_stats.batches_applied % every == 0 =>
             {
                 if max_slots == 0 {
-                    Some(Some(self.auto_bounded_budget()))
+                    Some(self.auto_bounded_budget())
                 } else {
-                    Some(Some(max_slots.max(1)))
+                    Some(max_slots.max(1))
                 }
             }
             CollectPolicy::Bounded { .. } => None,
@@ -826,30 +821,13 @@ impl IvmSystem {
         (ewma * HEADROOM_NUM / HEADROOM_DEN).max(FLOOR_SLOTS)
     }
 
-    /// Reclaim memory immediately with a full stop-the-world sweep: drop
-    /// orphaned shredded-store dictionary definitions (so their labels lose
-    /// their last references), then sweep the intern arena. Returns the
-    /// number of arena slots freed.
-    ///
-    /// Values interned by *other* threads remain protected by their own
-    /// bag references and epoch pins; a slot is only reclaimed once nothing
-    /// references it.
-    pub fn collect_now(&mut self) -> u64 {
-        self.run_collection(None)
-    }
-
-    /// Run one *bounded* collection increment: at most `max_slots` arena
-    /// slots are freed (store GC still runs in full — it is per-relation
-    /// bookkeeping, not a sweep), the rest of the backlog stays on the
-    /// persistent sweep cursor. Returns the number of slots freed; consult
-    /// [`BatchStats::collect_backlog`] for what remains.
-    pub fn collect_bounded(&mut self, max_slots: u64) -> u64 {
-        self.run_collection(Some(max_slots.max(1)))
-    }
-
-    /// The shared collection path: store GC, then a full (`budget: None`)
-    /// or bounded arena sweep, with pause accounting.
-    fn run_collection(&mut self, budget: Option<u64>) -> u64 {
+    /// One collection increment: drop orphaned shredded-store dictionary
+    /// definitions (so their labels lose their last references; this runs
+    /// in full — it is per-relation bookkeeping, not a sweep), then free at
+    /// most `max_slots` arena slots, leaving the rest of the backlog on the
+    /// persistent sweep cursor ([`BatchStats::collect_backlog`]), with
+    /// pause accounting.
+    fn run_collection(&mut self, max_slots: u64) {
         let start = Instant::now();
         if let Some(store) = &mut self.store {
             let rels: Vec<String> = store.inputs.keys().cloned().collect();
@@ -861,10 +839,7 @@ impl IvmSystem {
                 }
             }
         }
-        let swept = match budget {
-            None => intern::collect_now(),
-            Some(max_slots) => intern::collect_bounded_now(max_slots),
-        };
+        let swept = intern::collect_bounded_now(max_slots);
         let nanos = start.elapsed().as_nanos() as u64;
         self.batch_stats.collections_run += 1;
         self.batch_stats.arena_slots_freed += swept.freed;
@@ -882,7 +857,6 @@ impl IvmSystem {
                 nanos,
             );
         }
-        swept.freed
     }
 
     /// The single-segment refresh cycle shared by [`IvmSystem::apply_update`]

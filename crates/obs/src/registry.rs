@@ -7,7 +7,7 @@
 //!
 //! Names are lowercase dotted paths, `<layer>.<subsystem>.<quantity>[_unit]`:
 //! `engine.batch.apply_ns`, `data.arena.live_values`,
-//! `serve.snapshots.leak_suspects`, `durable.wal.fsync_ns`. The registry
+//! `serve.snapshots.oldest_age_batches`, `durable.wal.fsync_ns`. The registry
 //! does not parse names — the hierarchy exists for humans and for
 //! prefix-grepping the text exposition.
 //!

@@ -70,4 +70,4 @@ pub mod system;
 pub use error::{serve_to_engine, ServeError};
 pub use feed::{FeedDelta, Subscription};
 pub use snapshot::{Snapshot, SnapshotReader};
-pub use system::{LeakSuspect, ServeOptions, ServeStats, ServingSystem};
+pub use system::{ServeStats, ServingSystem};

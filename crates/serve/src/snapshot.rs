@@ -85,18 +85,6 @@ impl SnapshotLedger {
             .next()
             .copied()
     }
-
-    /// The full census: `(publication batch index, live snapshots of that
-    /// vintage)` in ascending index order — what the snapshot-TTL leak
-    /// check walks.
-    pub(crate) fn census(&self) -> Vec<(u64, u64)> {
-        self.by_batch
-            .lock()
-            .expect("snapshot ledger")
-            .iter()
-            .map(|(&k, &v)| (k, v))
-            .collect()
-    }
 }
 
 /// Registers one live snapshot in the shared [`SnapshotLedger`] on

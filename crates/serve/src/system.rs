@@ -23,38 +23,12 @@ use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Weak};
 
-/// Serving-layer tunables.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
-pub struct ServeOptions {
-    /// Snapshot TTL for leak detection: a live snapshot more than this many
-    /// batches older than the published one is counted in the
-    /// `serve.snapshots.leak_suspects` gauge and listed in
-    /// [`ServeStats::leak_suspects`]. `None` (the default) disables the
-    /// check. Purely observational — old snapshots are never invalidated;
-    /// the point is making a leaked [`SnapshotReader`] that pins the GC
-    /// horizon visible instead of silent.
-    pub max_snapshot_age_batches: Option<u64>,
-}
-
-/// One snapshot population flagged by the snapshot-TTL check: every live
-/// snapshot published at `batch_index` is `age_batches` behind the current
-/// publication, past [`ServeOptions::max_snapshot_age_batches`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
-pub struct LeakSuspect {
-    /// The batch index the suspect snapshots were published at.
-    pub batch_index: u64,
-    /// How many batches behind the published snapshot they are.
-    pub age_batches: u64,
-    /// How many live snapshots of that vintage exist.
-    pub snapshots: u64,
-}
-
 /// Counters describing the serving layer, in the spirit of
 /// [`BatchStats`] for the batch path.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct ServeStats {
-    /// Snapshots published (one per successful batch, registration, or
-    /// explicit republish).
+    /// Snapshots published: one at construction, then one per successful
+    /// batch or registration.
     pub snapshots_published: u64,
     /// Batch index of the currently published snapshot.
     pub published_batch_index: u64,
@@ -79,12 +53,6 @@ pub struct ServeStats {
     pub feed_deltas_pushed: u64,
     /// Feed deltas lost to bounded-queue backpressure (drop-oldest laps).
     pub feed_deltas_dropped: u64,
-    /// The configured snapshot TTL the leak check ran with (`None` = check
-    /// disabled, [`ServeStats::leak_suspects`] always empty).
-    pub max_snapshot_age_batches: Option<u64>,
-    /// Live snapshots older than the TTL, grouped by publication batch
-    /// index (ascending — oldest vintage first).
-    pub leak_suspects: Vec<LeakSuspect>,
 }
 
 /// Cached handles to the serving layer's registry metrics (one lookup per
@@ -94,7 +62,6 @@ struct ServeMetrics {
     publish_ns: std::sync::Arc<nrc_obs::Histogram>,
     outstanding: std::sync::Arc<nrc_obs::Gauge>,
     oldest_age: std::sync::Arc<nrc_obs::Gauge>,
-    leak_suspects: std::sync::Arc<nrc_obs::Gauge>,
     feed_pushed: std::sync::Arc<nrc_obs::Counter>,
     feed_dropped: std::sync::Arc<nrc_obs::Counter>,
 }
@@ -105,7 +72,6 @@ fn serve_metrics() -> &'static ServeMetrics {
         publish_ns: nrc_obs::histogram("serve.snapshots.publish_ns"),
         outstanding: nrc_obs::gauge("serve.snapshots.outstanding"),
         oldest_age: nrc_obs::gauge("serve.snapshots.oldest_age_batches"),
-        leak_suspects: nrc_obs::gauge("serve.snapshots.leak_suspects"),
         feed_pushed: nrc_obs::counter("serve.feed.pushed"),
         feed_dropped: nrc_obs::counter("serve.feed.dropped"),
     });
@@ -139,18 +105,12 @@ pub struct ServingSystem {
     snapshots_published: u64,
     feed_pushed: u64,
     feed_dropped: u64,
-    options: ServeOptions,
 }
 
 impl ServingSystem {
     /// Wrap an engine (with or without views registered yet) and publish
     /// the initial snapshot.
     pub fn new(engine: IvmSystem) -> Result<ServingSystem, ServeError> {
-        Self::new_with(engine, ServeOptions::default())
-    }
-
-    /// Like [`ServingSystem::new`], with explicit [`ServeOptions`].
-    pub fn new_with(engine: IvmSystem, options: ServeOptions) -> Result<ServingSystem, ServeError> {
         let ledger = Arc::new(SnapshotLedger::new());
         let initial = Self::build_snapshot(&engine, &ledger)?;
         Ok(ServingSystem {
@@ -163,23 +123,10 @@ impl ServingSystem {
             snapshots_published: 1,
             feed_pushed: 0,
             feed_dropped: 0,
-            options,
         })
     }
 
-    /// Change the serving options (takes effect from the next publication /
-    /// stats call).
-    pub fn set_serve_options(&mut self, options: ServeOptions) {
-        self.options = options;
-    }
-
-    /// The current serving options.
-    #[must_use]
-    pub fn serve_options(&self) -> ServeOptions {
-        self.options
-    }
-
-    /// Register a view under a maintenance strategy and republish, so
+    /// Register a view under a maintenance strategy and publish, so
     /// readers immediately see the new view's initial materialization.
     pub fn register(
         &mut self,
@@ -192,7 +139,7 @@ impl ServingSystem {
     }
 
     /// Register a view from NRC⁺ query text with an auto-picked strategy
-    /// (see [`IvmSystem::register_query`]) and republish, so readers
+    /// (see [`IvmSystem::register_query`]) and publish, so readers
     /// immediately see the new view's initial materialization.
     pub fn register_query(&mut self, name: &str, src: &str) -> Result<QueryPlan, NrcError> {
         let plan = self.engine.register_query(name, src)?;
@@ -202,7 +149,7 @@ impl ServingSystem {
     }
 
     /// Register a view from NRC⁺ query text under a forced strategy (see
-    /// [`IvmSystem::register_query_with`]) and republish.
+    /// [`IvmSystem::register_query_with`]) and publish.
     pub fn register_query_with(
         &mut self,
         name: &str,
@@ -220,9 +167,9 @@ impl ServingSystem {
     ///
     /// On an engine error nothing is published — the previously published
     /// snapshot stays current (the engine may have partially applied
-    /// earlier segments; see [`IvmSystem::apply_batch`]; use
-    /// [`ServingSystem::republish`] to surface that state deliberately) —
-    /// and no feed delta is delivered for the failed batch. The loss is
+    /// earlier segments; see [`IvmSystem::apply_batch`]; the next
+    /// successful batch or registration publishes that state) — and no
+    /// feed delta is delivered for the failed batch. The loss is
     /// *counted*: every live subscription's [`Subscription::dropped`] is
     /// bumped, so a consumer's Σ-of-deltas invariant is guaranteed exactly
     /// while `dropped()` stays 0 and any failure tells it to resync from a
@@ -315,12 +262,8 @@ impl ServingSystem {
         }
     }
 
-    /// Take and publish a fresh snapshot of the current engine state (also
-    /// runs automatically after every successful batch / registration).
-    pub fn republish(&mut self) -> Result<(), ServeError> {
-        self.publish()
-    }
-
+    /// Take and publish a fresh snapshot of the current engine state (after
+    /// every successful batch / registration).
     fn publish(&mut self) -> Result<(), ServeError> {
         let t = nrc_obs::enabled().then(std::time::Instant::now);
         let snap = Self::build_snapshot(&self.engine, &self.ledger)?;
@@ -337,43 +280,21 @@ impl ServingSystem {
         Ok(())
     }
 
-    /// Mirror the snapshot-backlog state (and the TTL leak check) to the
-    /// registry so one metrics snapshot sees it without polling
-    /// [`ServingSystem::serve_stats`].
+    /// Mirror the snapshot-backlog state to the registry so one metrics
+    /// snapshot sees it without polling [`ServingSystem::serve_stats`].
     fn export_snapshot_gauges(&self, published_batch_index: u64) {
         let m = serve_metrics();
         m.outstanding.set_u64(self.ledger.outstanding());
-        m.oldest_age.set_u64(
-            self.ledger
-                .oldest_batch()
-                .map_or(0, |oldest| published_batch_index.saturating_sub(oldest)),
-        );
-        let suspects: u64 = self
-            .leak_suspects(published_batch_index)
-            .iter()
-            .map(|s| s.snapshots)
-            .sum();
-        m.leak_suspects.set_u64(suspects);
+        m.oldest_age
+            .set_u64(self.oldest_snapshot_age(published_batch_index));
     }
 
-    /// The snapshot-TTL check: live snapshot vintages older than
-    /// [`ServeOptions::max_snapshot_age_batches`] (empty when unset).
-    fn leak_suspects(&self, published_batch_index: u64) -> Vec<LeakSuspect> {
-        let Some(limit) = self.options.max_snapshot_age_batches else {
-            return Vec::new();
-        };
+    /// How many batches the oldest live snapshot is behind
+    /// `published_batch_index` (0 when none is alive).
+    fn oldest_snapshot_age(&self, published_batch_index: u64) -> u64 {
         self.ledger
-            .census()
-            .into_iter()
-            .filter_map(|(batch_index, snapshots)| {
-                let age_batches = published_batch_index.saturating_sub(batch_index);
-                (age_batches > limit).then_some(LeakSuspect {
-                    batch_index,
-                    age_batches,
-                    snapshots,
-                })
-            })
-            .collect()
+            .oldest_batch()
+            .map_or(0, |oldest| published_batch_index.saturating_sub(oldest))
     }
 
     /// Freeze every registered view (O(views) `Arc` bumps) under a fresh
@@ -477,7 +398,6 @@ impl ServingSystem {
     #[must_use]
     pub fn serve_stats(&self) -> ServeStats {
         let published_batch_index = self.snapshot().batch_index();
-        let leak_suspects = self.leak_suspects(published_batch_index);
         if nrc_obs::enabled() {
             // Stats polling doubles as a gauge refresh: readers may have
             // dropped (or leaked further) since the last publication.
@@ -488,10 +408,7 @@ impl ServingSystem {
             published_batch_index,
             outstanding_snapshots: self.ledger.outstanding(),
             pin_horizon_epoch: intern::pin_horizon().map_or(0, |e| e.0),
-            oldest_snapshot_age_batches: self
-                .ledger
-                .oldest_batch()
-                .map_or(0, |oldest| published_batch_index.saturating_sub(oldest)),
+            oldest_snapshot_age_batches: self.oldest_snapshot_age(published_batch_index),
             subscribers: self
                 .subs
                 .iter()
@@ -499,8 +416,6 @@ impl ServingSystem {
                 .count() as u64,
             feed_deltas_pushed: self.feed_pushed,
             feed_deltas_dropped: self.feed_dropped,
-            max_snapshot_age_batches: self.options.max_snapshot_age_batches,
-            leak_suspects,
         }
     }
 
@@ -508,14 +423,6 @@ impl ServingSystem {
     #[must_use]
     pub fn engine(&self) -> &IvmSystem {
         &self.engine
-    }
-
-    /// Unwrap back into the engine, abandoning publication state. Any
-    /// outstanding snapshots and readers stay valid (they own their data);
-    /// they just stop seeing new publications.
-    #[must_use]
-    pub fn into_engine(self) -> IvmSystem {
-        self.engine
     }
 
     /// Counters for the engine's batched maintenance path.
@@ -534,16 +441,6 @@ impl ServingSystem {
     /// a live snapshot is never freed.
     pub fn set_collect_policy(&mut self, policy: CollectPolicy) {
         self.engine.set_collect_policy(policy);
-    }
-
-    /// Immediate full collection (see [`IvmSystem::collect_now`]).
-    pub fn collect_now(&mut self) -> u64 {
-        self.engine.collect_now()
-    }
-
-    /// One bounded collection increment (see [`IvmSystem::collect_bounded`]).
-    pub fn collect_bounded(&mut self, max_slots: u64) -> u64 {
-        self.engine.collect_bounded(max_slots)
     }
 
     /// The current contents of a view *through the engine* (readers should

@@ -25,9 +25,17 @@
 //! * **Catalog recovery**: text-registered views come back from the
 //!   directory alone (no caller `ViewSpec`s), a kill inside
 //!   `register_query`'s durable write never leaves the directory
-//!   unrecoverable (the old whole-set integrity gate did), and a caller
-//!   spec the checkpoint has never seen registers fresh instead of
-//!   misdiagnosing as corruption.
+//!   unrecoverable (the old whole-set integrity gate did), and a view the
+//!   directory never saw registers fresh over the recovered database. The
+//!   catalog is total: `create` refuses a query with no surface form, and
+//!   a source-less entry an older version wrote fails recovery with
+//!   `Uncataloged`.
+//! * **One publication per recovery**: `recover` and `recover_at` replay
+//!   into a bare engine and publish once, however many batches and
+//!   registrations they replayed.
+//! * **Validate before logging**: a batch naming an unknown relation is
+//!   refused before the WAL append, so ingest continues and the directory
+//!   still recovers to the last acked index.
 //! * **Backfill differential**: a view backfilled after the full stream
 //!   equals the same view registered from batch 0 — final state *and*
 //!   per-batch delta feed — for all four strategies; `KeepAll` retention
@@ -44,10 +52,11 @@ use nrc_core::expr::CmpOp;
 use nrc_core::Expr;
 use nrc_data::{Bag, Value};
 use nrc_durable::{
-    wal, DurableError, DurableOptions, DurableSystem, FsyncPolicy, KillPoint, LogRetention,
-    ViewSpec, Wal,
+    checkpoint, wal, CatalogEntry, DurableError, DurableOptions, DurableSystem, FsyncPolicy,
+    KillPoint, LogRetention, ViewSpec, Wal,
 };
-use nrc_engine::{CollectPolicy, Strategy, UpdateBatch, ViewStateSnapshot};
+use nrc_engine::{CollectPolicy, EngineError, Strategy, UpdateBatch, ViewStateSnapshot};
+use nrc_serve::ServeError;
 use nrc_workloads::{kill_offsets, RecoveryPlan, StreamConfig};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -395,10 +404,10 @@ proptest! {
     /// dies, recover, and require `scan`/`get`/`lookup_label` agreement —
     /// the on-disk format holds no arena-dependent state.
     ///
-    /// Also the `recover_with_views` escape hatch and the integrity-gate
-    /// fix: a caller spec the directory has never seen registers fresh
-    /// after recovery instead of being misdiagnosed as checkpoint
-    /// corruption (the old whole-set gate failed `Corrupt` here).
+    /// Also the integrity-gate fix: a view the directory has never seen
+    /// registers fresh over the recovered database instead of being
+    /// misdiagnosed as checkpoint corruption (the old whole-set gate failed
+    /// `Corrupt` here).
     #[test]
     fn checkpoint_round_trip_survives_slot_reuse(
         seed in 0u64..10_000,
@@ -449,13 +458,8 @@ proptest! {
             (0..churn as u16).map(|i| common::payload("prop-ckpt-churn", churn_case, i)),
         );
 
-        // An extra spec the directory has never seen rides along: the old
-        // integrity gate called this corruption; it must register fresh.
-        let mut with_extra = specs.to_vec();
-        with_extra.push(ViewSpec::new("all2", rel("M"), Strategy::Recursive));
-        let (rec, rstats) = DurableSystem::recover_with_views(
+        let (mut rec, rstats) = DurableSystem::recover(
             dir.path(),
-            &with_extra,
             opts(FsyncPolicy::Never, 1, None),
         ).expect("recover across GC");
         prop_assert_eq!(
@@ -463,10 +467,14 @@ proptest! {
             "the tip checkpoint leaves nothing to replay"
         );
         prop_assert_eq!(rec.batch_index(), nbatches as u64);
+        // A view the directory has never seen: the old integrity gate
+        // called this corruption; it must register fresh.
+        rec.register_query_with("all2", "M", Strategy::Recursive)
+            .expect("register a view the directory never saw");
         prop_assert_eq!(
             rec.view("all2").expect("fresh extra view"),
             rec.view("all").expect("recovered view"),
-            "the never-cataloged extra spec must register fresh over the recovered db"
+            "a view the directory never saw must register fresh over the recovered db"
         );
 
         // scan: identical ordered pairs; get: identical multiplicities.
@@ -802,7 +810,11 @@ proptest! {
             payload_prefix: format!("prop-bf-{case}-"),
             ..StreamConfig::default()
         };
-        let plan = RecoveryPlan::generate(seed, cfg, 12, nbatches);
+        // One batch beyond the stream is held back as the live
+        // continuation: it is valid at index n, where re-applying an
+        // earlier batch would repeat deletions already applied.
+        let plan = RecoveryPlan::generate(seed, cfg, 12, nbatches + 1);
+        let (stream, continuation) = plan.batches.split_at(nbatches);
         let n = nbatches as u64;
         let strategy = [
             Strategy::Reevaluate,
@@ -822,7 +834,7 @@ proptest! {
         sys_ref.register_query_with("v", FILTER_SRC, strategy).expect("register from start");
         let origin_state = sys_ref.view("v").expect("origin state");
         let sub_ref = sys_ref.subscribe("v", nbatches + 4).expect("subscribe");
-        for batch in &plan.batches {
+        for batch in stream {
             sys_ref
                 .apply_batch(&UpdateBatch::from_updates(batch.iter().cloned()))
                 .expect("reference apply");
@@ -839,7 +851,7 @@ proptest! {
             &[],
             opts(FsyncPolicy::Never, checkpoint_every, None),
         ).expect("create backfill");
-        for batch in &plan.batches {
+        for batch in stream {
             sys_bf
                 .apply_batch(&UpdateBatch::from_updates(batch.iter().cloned()))
                 .expect("backfill apply");
@@ -879,7 +891,7 @@ proptest! {
 
         // Live continuation: one more batch lands in both feeds at the
         // same stream-absolute index with the same delta.
-        let extra = UpdateBatch::from_updates(plan.batches[0].iter().cloned());
+        let extra = UpdateBatch::from_updates(continuation[0].iter().cloned());
         sys_ref.apply_batch(&extra).expect("reference continuation");
         sys_bf.apply_batch(&extra).expect("backfill continuation");
         let cont_ref = sub_ref.drain();
@@ -903,7 +915,7 @@ proptest! {
             };
             let mut sys_tr = DurableSystem::create(dir_tr.path(), plan.db.clone(), &[], tr_opts)
                 .expect("create truncating");
-            for batch in &plan.batches {
+            for batch in stream {
                 sys_tr
                     .apply_batch(&UpdateBatch::from_updates(batch.iter().cloned()))
                     .expect("apply");
@@ -917,6 +929,174 @@ proptest! {
             );
         }
     }
+}
+
+/// A small movies stream for the example-based tests below, tagged with
+/// `case` so its payloads are ever-fresh.
+fn small_plan(case: u64, tag: &str, nbatches: usize) -> RecoveryPlan {
+    let cfg = StreamConfig {
+        batch_size: 4,
+        delete_fraction: 0.2,
+        genres: 3,
+        directors: 3,
+        payload_prefix: format!("prop-{tag}-{case}-"),
+        ..StreamConfig::default()
+    };
+    RecoveryPlan::generate(case, cfg, 12, nbatches)
+}
+
+fn apply_all(sys: &mut DurableSystem, batches: &[Vec<(String, Bag)>]) {
+    for batch in batches {
+        sys.apply_batch(&UpdateBatch::from_updates(batch.iter().cloned()))
+            .expect("apply");
+    }
+}
+
+/// `recover` and `recover_at` replay into a bare engine and publish once:
+/// each replays batches and a registration record, and the recovered
+/// system has published exactly one snapshot, holding the final state.
+#[test]
+fn recovery_publishes_exactly_once() {
+    let _serial = serial();
+    let case = fresh_case();
+    let plan = small_plan(case, "pub", 3);
+    let dir = TempDir::new("publish-once", case);
+    let o = opts(FsyncPolicy::Never, 0, None);
+    let specs = [ViewSpec::new("all", rel("M"), Strategy::FirstOrder)];
+    let mut sys =
+        DurableSystem::create(dir.path(), plan.db.clone(), &specs, o.clone()).expect("create");
+    apply_all(&mut sys, &plan.batches[..1]);
+    sys.register_query("late", FILTER_SRC)
+        .expect("register late");
+    apply_all(&mut sys, &plan.batches[1..]);
+    let live: Vec<(&str, Bag)> = ["all", "late"]
+        .into_iter()
+        .map(|name| (name, sys.view(name).expect("live view")))
+        .collect();
+    drop(sys);
+
+    let (rec, stats) = DurableSystem::recover(dir.path(), o.clone()).expect("recover");
+    assert_eq!(stats.batches_replayed, 3);
+    assert_eq!(stats.registrations_replayed, 1);
+    assert_eq!(rec.serve_stats().snapshots_published, 1);
+    let snap = rec.snapshot();
+    for (name, want) in &live {
+        assert_eq!(snap.view(name).expect("published view"), want);
+    }
+    drop(snap);
+    drop(rec);
+
+    let (hist, hstats) = DurableSystem::recover_at(dir.path(), 2, o).expect("recover_at");
+    assert_eq!(hstats.batches_replayed, 2);
+    assert_eq!(hstats.registrations_replayed, 1);
+    assert_eq!(hist.serve_stats().snapshots_published, 1);
+}
+
+/// The catalog is total: `create` refuses a view whose query has no NRC⁺
+/// surface form (here one over the delta relation `ΔM`) before it writes
+/// anything.
+#[test]
+fn create_refuses_a_view_with_no_surface_form() {
+    let _serial = serial();
+    let case = fresh_case();
+    let plan = small_plan(case, "uncat", 0);
+    let dir = TempDir::new("uncataloged-create", case);
+    let specs = [ViewSpec::new(
+        "delta",
+        Expr::DeltaRel("M".into(), 1),
+        Strategy::FirstOrder,
+    )];
+    let created = DurableSystem::create(
+        dir.path(),
+        plan.db.clone(),
+        &specs,
+        opts(FsyncPolicy::Never, 0, None),
+    );
+    assert!(matches!(
+        created,
+        Err(DurableError::Uncataloged { ref view }) if view == "delta"
+    ));
+    assert!(!dir.path().exists(), "a refused create writes nothing");
+}
+
+/// A checkpoint catalog entry without a source (`has_src = 0`, which only
+/// older versions wrote) still decodes, and recovery fails on it with
+/// `Uncataloged` rather than falling back to anything.
+#[test]
+fn a_source_less_catalog_entry_fails_recovery() {
+    let _serial = serial();
+    let case = fresh_case();
+    let plan = small_plan(case, "srcless", 0);
+    let dir = TempDir::new("source-less", case);
+    let o = opts(FsyncPolicy::Never, 0, None);
+    drop(DurableSystem::create(dir.path(), plan.db.clone(), &[], o.clone()).expect("create"));
+    let (mut data, _) = checkpoint::load_newest(dir.path())
+        .expect("scan checkpoints")
+        .newest
+        .expect("origin checkpoint");
+    data.catalog.push(CatalogEntry {
+        name: "opaque".to_string(),
+        source: None,
+        strategy: Strategy::Shredded,
+    });
+    checkpoint::write(dir.path(), &data, None).expect("rewrite the origin checkpoint");
+
+    let recovered = DurableSystem::recover(dir.path(), o.clone());
+    assert!(matches!(
+        recovered,
+        Err(DurableError::Uncataloged { ref view }) if view == "opaque"
+    ));
+    let historical = DurableSystem::recover_at(dir.path(), 0, o);
+    assert!(matches!(
+        historical,
+        Err(DurableError::Uncataloged { ref view }) if view == "opaque"
+    ));
+}
+
+/// Validate before logging: a batch with a segment for a relation the
+/// database does not have is refused before the WAL append — state
+/// unchanged, instance alive — so ingest continues and recovery still
+/// reaches the last acked index.
+#[test]
+fn a_batch_for_an_unknown_relation_is_refused_before_the_log() {
+    let _serial = serial();
+    let case = fresh_case();
+    let plan = small_plan(case, "unknown-rel", 2);
+    let dir = TempDir::new("unknown-rel", case);
+    let o = opts(FsyncPolicy::EveryBatch, 0, None);
+    let specs = [ViewSpec::new("all", rel("M"), Strategy::FirstOrder)];
+    let mut sys =
+        DurableSystem::create(dir.path(), plan.db.clone(), &specs, o.clone()).expect("create");
+    apply_all(&mut sys, &plan.batches[..1]);
+    let before = sys.view("all").expect("view");
+
+    let mut bad = plan.batches[1].clone();
+    bad.push((
+        "Nope".to_string(),
+        Bag::from_values([common::payload("prop-unknown-rel", case, 0)]),
+    ));
+    let refused = sys.apply_batch(&UpdateBatch::from_updates(bad));
+    assert!(matches!(
+        refused,
+        Err(DurableError::Serve(ServeError::Engine(EngineError::UnknownRelation(ref r)))) if r == "Nope"
+    ));
+    assert!(
+        !sys.is_dead(),
+        "a refused batch must not poison the instance"
+    );
+    assert_eq!(sys.batch_index(), 1);
+    assert_eq!(
+        sys.view("all").expect("view"),
+        before,
+        "a refused batch changes nothing"
+    );
+
+    apply_all(&mut sys, &plan.batches[1..]);
+    let live = sys.view("all").expect("view");
+    drop(sys);
+    let (rec, _) = DurableSystem::recover(dir.path(), o).expect("the directory still recovers");
+    assert_eq!(rec.batch_index(), 2);
+    assert_eq!(rec.view("all").expect("recovered view"), live);
 }
 
 /// Ordered `(value, multiplicity)` scan of the `all` view via the
