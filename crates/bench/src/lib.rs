@@ -3,8 +3,7 @@
 //! The experiment library regenerating the paper's quantitative claims
 //! (the tables are discussed in `docs/PERFORMANCE.md`). Each `eN` module
 //! produces a [`report::Table`]; the `harness` binary prints them as
-//! markdown + JSON, and the Criterion benches in `benches/` wrap the same
-//! code paths for statistically robust timings. Nothing here is a CI gate:
+//! markdown + JSON. Nothing here is a CI gate:
 //! what the stack costs end to end is measured by the ledger in
 //! `benchmark/`, and regressions are caught by the property suites and the
 //! exact-count guards under `tests/`.

@@ -208,9 +208,8 @@ where
 {
     // Gather per-relation delta groups in first-appearance order, then
     // merge each group with `union_many`'s k-way merge — one tournament of
-    // linear run merges per relation (transient deltas are small-tier
-    // sorted runs, so no per-entry tree traffic), one batched retain pass
-    // for the result.
+    // linear run merges per relation (no per-entry tree walks), one
+    // bottom-up tree build with a batched retain pass for the result.
     let mut order: Vec<String> = Vec::new();
     let mut groups: std::collections::BTreeMap<String, Vec<Bag>> = Default::default();
     for (rel, delta) in updates {

@@ -414,10 +414,8 @@ pub fn eval(e: &Expr, env: &mut Env<'_>) -> Result<Value, EvalError> {
                 let b = res?.into_bag()?;
                 // Id-native scaled accumulation: no scaled intermediate bag,
                 // no value clones — the body's elements flow into `acc` as
-                // interned ids. While `acc` stays below the small-tier
-                // threshold each step is one linear merge over sorted runs
-                // with delta-only arena retains; past it, per-key tree
-                // upserts take over.
+                // interned ids, one tree upsert per element of `b` (the
+                // first non-empty body is shared, not copied).
                 acc.union_assign_scaled(&b, m)?;
             }
             Ok(Value::Bag(acc))

@@ -18,95 +18,49 @@
 //! `multiplicity`, …) is preserved by resolving ids on read; the `*_id`
 //! methods expose the id-native fast path for hot call sites.
 //!
-//! # Representation tiers
+//! # Representation
 //!
-//! A bag carries one of two physical representations, selected by size:
-//!
-//! * **Small** — a strictly sorted `Vec<(Vid, i64)>` (columnar, one
-//!   allocation, branch-predictable linear merges) for bags of at most
-//!   [`Bag::SMALL_TIER_MAX`] distinct elements: the transient deltas and
-//!   modest view states every hot engine path is made of;
-//! * **Tree** — a `VidMap<i64>`, the crate's persistent (path-copying)
-//!   B+tree, for large persistent state, where `O(log n)` point upserts
-//!   beat rebuilding a long run. Clones share every node; a write into a
-//!   bag that a clone still shares copies only the root-to-leaf paths it
-//!   touches (`O(|Δ| log n)` entries), never the map.
-//!
-//! Both tiers maintain the same canonical form (strictly ascending keys, no
-//! zero multiplicities), so `Eq`/`Ord`/`Hash` and iteration order are
-//! bit-identical across tiers — a small bag and a tree bag with the same
-//! contents are *equal* and indistinguishable through the public API. A
-//! small bag that grows past the threshold promotes to the tree tier by
-//! transferring its key retains (no arena traffic); bags never demote. The
-//! retain/release liveness bookkeeping lives behind the tier-agnostic seam
-//! in `livemap`: small-tier merges batch their arena retains into one pass
-//! proportional to the key-set delta, never the bag size.
+//! Every bag, whatever its size, is a `VidMap<i64>`: the crate's persistent
+//! (path-copying) B+tree. A clone shares every node (`O(1)`, one `Arc`
+//! bump), and a write into a bag that a clone still shares copies only the
+//! root-to-leaf paths it touches — `O(|Δ| log n)` entries, never the bag.
+//! So `⊎` of a `k`-entry delta costs `O(k log n)` at every bag size, and a
+//! bag of a few entries is one leaf sized to its contents. The map's leaves
+//! keep one arena retain per key, released when the key leaves the bag or
+//! the last leaf holding it drops (see `livemap`).
 
 use crate::error::DataError;
 use crate::intern::{self, Vid};
-use crate::livemap::{SortedVidRun, VidMap};
+use crate::livemap::VidMap;
 use crate::value::Value;
 use serde::{Deserialize, Json, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::{Arc, LazyLock};
-
-/// Count one Small→Tree promotion in `data.bag.tier_promotions`. Promotion
-/// is rare by design (only bags crossing [`Bag::SMALL_TIER_MAX`]), so the
-/// cached-handle lookup plus a relaxed `fetch_add` is negligible; when
-/// instrumentation is globally off even that is skipped.
-#[inline]
-fn count_tier_promotion() {
-    static PROMOTIONS: LazyLock<Arc<nrc_obs::Counter>> =
-        LazyLock::new(|| nrc_obs::counter("data.bag.tier_promotions"));
-    if nrc_obs::enabled() {
-        PROMOTIONS.inc();
-    }
-}
-
-/// The two physical representations of a bag (see the module docs): a
-/// columnar sorted run for small/transient bags, a persistent
-/// (path-copying) tree for large persistent state. Canonical form is
-/// identical in both.
-enum Repr {
-    Small(SortedVidRun),
-    Tree(VidMap<i64>),
-}
 
 /// A generalized bag of [`Value`]s.
 ///
-/// Internally a sorted collection of interned element ids with non-zero
-/// multiplicities, in one of two tiers (see the module docs): a columnar
-/// sorted run below [`Bag::SMALL_TIER_MAX`] distinct elements, a persistent
-/// path-copying tree above it. Both give canonical representation and
-/// deterministic iteration (identical to the seed's value-keyed order —
-/// `Ord` on [`Vid`] refines the canonical `Ord` on [`Value`]). Cloning a
-/// tree-tier bag (e.g. binding relations into evaluation environments, or
-/// snapshotting the database before an update) is an `O(1)` `Arc` bump of
-/// the tree's root, and the next write into either copy unshares only the
-/// nodes on its path; cloning a small bag is one flat memcpy plus a dense
-/// retain pass.
+/// Internally a persistent B+tree of interned element ids with non-zero
+/// multiplicities (see the module docs). It gives canonical representation
+/// and deterministic iteration (identical to the seed's value-keyed order —
+/// `Ord` on [`Vid`] refines the canonical `Ord` on [`Value`]); equality,
+/// ordering and hashing are those of the sorted `(id, multiplicity)`
+/// sequence, as for a `BTreeMap<Vid, i64>`. Cloning a bag (e.g. binding
+/// relations into evaluation environments, or snapshotting the database
+/// before an update) is an `O(1)` `Arc` bump of the tree's root, and the
+/// next write into either copy unshares only the nodes on its path.
 ///
-/// The element keys participate in arena reclamation: both tiers retain
-/// each key's arena slot while present and release it on removal/drop,
-/// which is what lets `intern::collect` reclaim values no bag references
-/// anymore. Small-tier merges batch that bookkeeping: arena traffic is
-/// proportional to the key-set *delta* of an operation, not the bag size.
+/// The element keys participate in arena reclamation: the tree retains each
+/// key's arena slot while present and releases it on removal/drop, which is
+/// what lets `intern::collect` reclaim values no bag references anymore.
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Bag {
-    repr: Repr,
+    map: VidMap<i64>,
 }
 
 /// Iterator over a bag's `(id, multiplicity)` pairs in canonical order,
-/// returned by [`Bag::ids`]. Items are `Copy`; both tiers yield the exact
-/// same sequence for equal bags.
+/// returned by [`Bag::ids`]. Items are `Copy`.
 pub struct Ids<'a> {
-    inner: IdsInner<'a>,
-}
-
-enum IdsInner<'a> {
-    Small(std::slice::Iter<'a, (Vid, i64)>),
-    Tree(crate::livemap::Iter<'a, i64>),
+    inner: crate::livemap::Iter<'a, i64>,
 }
 
 impl Iterator for Ids<'_> {
@@ -114,17 +68,11 @@ impl Iterator for Ids<'_> {
 
     #[inline]
     fn next(&mut self) -> Option<(Vid, i64)> {
-        match &mut self.inner {
-            IdsInner::Small(it) => it.next().copied(),
-            IdsInner::Tree(it) => it.next().map(|(id, &m)| (id, m)),
-        }
+        self.inner.next().map(|(id, &m)| (id, m))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.inner {
-            IdsInner::Small(it) => it.size_hint(),
-            IdsInner::Tree(it) => it.size_hint(),
-        }
+        self.inner.size_hint()
     }
 }
 
@@ -188,59 +136,21 @@ fn merge_runs(a: Vec<(Vid, i64)>, b: Vec<(Vid, i64)>) -> Result<Vec<(Vid, i64)>,
 }
 
 impl Bag {
-    /// Largest distinct-element count held in the columnar small tier.
-    ///
-    /// Below this a bag is one sorted `Vec<(Vid, i64)>` (≤ 8 KiB of pairs):
-    /// merges are linear, branch-predictable walks and the arena retains of
-    /// an operation batch into one pass over the key-set delta. Past it the
-    /// bag promotes (once, by retain transfer — bags never demote) to the
-    /// persistent tree, where `O(log n)` point upserts beat rebuilding a
-    /// long run and clones are `O(1)` `Arc` bumps.
-    pub const SMALL_TIER_MAX: usize = 512;
-
     /// The empty bag `∅`.
     #[must_use]
     pub fn empty() -> Bag {
         Bag::default()
     }
 
-    /// Is this bag currently held in the columnar small tier? Small and
-    /// tree bags of equal contents are fully interchangeable (`Eq`/`Ord`/
-    /// `Hash`/iteration agree); this observer exists for tier-invariant
-    /// tests and capacity diagnostics.
-    #[must_use]
-    pub fn is_small_tier(&self) -> bool {
-        matches!(self.repr, Repr::Small(_))
-    }
-
     /// Build from a canonical run, retaining every key in one dense pass
-    /// and choosing the tier by size — the single construction funnel of
+    /// and packing the tree bottom-up — the single construction funnel of
     /// every bulk operation.
     fn from_canonical_pairs(pairs: Vec<(Vid, i64)>) -> Bag {
-        if pairs.len() <= Bag::SMALL_TIER_MAX {
-            Bag {
-                repr: Repr::Small(SortedVidRun::from_unretained(pairs)),
-            }
-        } else {
-            count_tier_promotion();
-            for &(id, _) in &pairs {
-                intern::retain(id);
-            }
-            Bag {
-                repr: Repr::Tree(VidMap::from_retained_sorted(pairs)),
-            }
+        for &(id, _) in &pairs {
+            intern::retain(id);
         }
-    }
-
-    /// Promote a small run past the threshold into the tree tier by
-    /// transferring its key retains — no arena traffic.
-    fn maybe_promote(&mut self) {
-        if let Repr::Small(run) = &mut self.repr {
-            if run.len() > Bag::SMALL_TIER_MAX {
-                count_tier_promotion();
-                let pairs = std::mem::take(run).into_retained_pairs();
-                self.repr = Repr::Tree(VidMap::from_retained_sorted(pairs));
-            }
+        Bag {
+            map: VidMap::from_retained_sorted(pairs),
         }
     }
 
@@ -299,14 +209,13 @@ impl Bag {
         if mult == 0 {
             return Ok(());
         }
-        match &mut self.repr {
-            Repr::Small(run) => {
-                run.insert(id, mult)?;
-                self.maybe_promote();
-                Ok(())
+        self.map.upsert_with(id, |current| match current {
+            None => Ok(Some(mult)),
+            Some(&m) => {
+                let new = m.checked_add(mult).ok_or(DataError::Overflow { op: "⊎" })?;
+                Ok((new != 0).then_some(new))
             }
-            Repr::Tree(map) => tree_insert(map, id, mult),
-        }
+        })
     }
 
     /// The multiplicity of `v` (0 when absent). Probing for a value that was
@@ -317,26 +226,17 @@ impl Bag {
 
     /// Id-native [`Bag::multiplicity`].
     pub fn multiplicity_id(&self, id: Vid) -> i64 {
-        match &self.repr {
-            Repr::Small(run) => run.get(id).unwrap_or(0),
-            Repr::Tree(map) => map.get(id).copied().unwrap_or(0),
-        }
+        self.map.get(id).copied().unwrap_or(0)
     }
 
     /// Is this the empty bag?
     pub fn is_empty(&self) -> bool {
-        match &self.repr {
-            Repr::Small(run) => run.is_empty(),
-            Repr::Tree(map) => map.is_empty(),
-        }
+        self.map.is_empty()
     }
 
     /// Number of *distinct* elements.
     pub fn distinct_count(&self) -> usize {
-        match &self.repr {
-            Repr::Small(run) => run.len(),
-            Repr::Tree(map) => map.len(),
-        }
+        self.map.len()
     }
 
     /// Cardinality "including repetitions" (§2.2, Ex. 5): the sum of the
@@ -365,14 +265,10 @@ impl Bag {
 
     /// Iterate over `(id, multiplicity)` pairs in canonical order — the
     /// id-native sibling of [`Bag::iter`] (no resolution, `Copy` items).
-    /// Both tiers yield the identical sequence for equal bags.
     #[inline]
     pub fn ids(&self) -> Ids<'_> {
         Ids {
-            inner: match &self.repr {
-                Repr::Small(run) => IdsInner::Small(run.as_slice().iter()),
-                Repr::Tree(map) => IdsInner::Tree(map.iter()),
-            },
+            inner: self.map.iter(),
         }
     }
 
@@ -396,8 +292,7 @@ impl Bag {
     pub fn union(&self, other: &Bag) -> Bag {
         // Merge the smaller into a clone of the larger (union of two
         // materialized bags costs time proportional to the smaller one, the
-        // assumption made in the §2.2 cost analysis — for the small tier
-        // "proportional" is the linear merge plus delta-sized retains).
+        // assumption made in the §2.2 cost analysis).
         let (big, small) = if self.distinct_count() >= other.distinct_count() {
             (self, other)
         } else {
@@ -408,8 +303,7 @@ impl Bag {
         out
     }
 
-    /// In-place bag addition `self ⊎= other`: a linear merge over sorted
-    /// runs in the small tier, per-key upserts in the tree tier.
+    /// In-place bag addition `self ⊎= other`.
     pub fn union_assign(&mut self, other: &Bag) {
         self.union_assign_scaled(other, 1)
             .expect("bag multiplicity overflow in ⊎");
@@ -417,33 +311,24 @@ impl Bag {
 
     /// In-place scaled addition `self ⊎= k · other` without materializing
     /// the scaled intermediate — the inner step of `for`-loop accumulation
-    /// (`acc ⊎= m · body`) and of flatten.
+    /// (`acc ⊎= m · body`) and of flatten. On overflow the error surfaces
+    /// and the keys before the overflowing one stay merged.
     pub fn union_assign_scaled(&mut self, other: &Bag, k: i64) -> Result<(), DataError> {
         if k == 0 || other.is_empty() {
             return Ok(());
         }
         if self.is_empty() && k == 1 {
-            // `∅ ⊎ b = b`: tree clones are O(1) Arc bumps, small clones one
-            // dense retain pass — either beats re-merging.
+            // `∅ ⊎ b = b`: the clone shares b's tree.
             *self = other.clone();
             return Ok(());
         }
-        match &mut self.repr {
-            Repr::Small(run) => {
-                run.merge_scaled(other.ids(), k)?;
-                self.maybe_promote();
-                Ok(())
-            }
-            Repr::Tree(map) => {
-                for (id, m) in other.ids() {
-                    let scaled = m
-                        .checked_mul(k)
-                        .ok_or(DataError::Overflow { op: "scaled ⊎" })?;
-                    tree_insert(map, id, scaled)?;
-                }
-                Ok(())
-            }
+        for (id, m) in other.ids() {
+            let scaled = m
+                .checked_mul(k)
+                .ok_or(DataError::Overflow { op: "scaled ⊎" })?;
+            self.try_insert_id(id, scaled)?;
         }
+        Ok(())
     }
 
     /// Extend-style `⊎`: add every `(value, multiplicity)` pair from an
@@ -455,26 +340,11 @@ impl Bag {
     }
 
     /// Id-native [`Bag::extend_pairs`]: the incoming pairs are sorted and
-    /// coalesced once, then merged through the same linear path as
-    /// [`Bag::union_assign`] — one batched retain pass, no per-pair tree
-    /// walks.
+    /// coalesced once, then upserted in key order.
     pub fn extend_id_pairs<I: IntoIterator<Item = (Vid, i64)>>(&mut self, pairs: I) {
-        let run = coalesce_pairs(pairs);
-        if run.is_empty() {
-            return;
+        for (id, m) in coalesce_pairs(pairs) {
+            self.insert_id(id, m);
         }
-        match &mut self.repr {
-            Repr::Small(r) => {
-                r.merge_scaled(run.into_iter(), 1)
-                    .expect("bag multiplicity overflow in ⊎");
-            }
-            Repr::Tree(map) => {
-                for (id, m) in run {
-                    tree_insert(map, id, m).expect("bag multiplicity overflow in ⊎");
-                }
-            }
-        }
-        self.maybe_promote();
     }
 
     /// Coalesce many bags into one by `⊎` with a k-way merge.
@@ -482,11 +352,11 @@ impl Bag {
     /// Each input contributes its canonical sorted run; the runs are merged
     /// in a pairwise tournament (every pair participates in `O(log k)`
     /// linear merges), collisions summed and zeros dropped along the way,
-    /// and the winning run becomes the result bag with a single batched
-    /// retain pass — `O(N log k)` pair moves for `N` total entries, with
-    /// none of the per-bag tree rebalancing a fold of [`Bag::union`]s
-    /// performs and no per-entry arena traffic. This is the primitive
-    /// behind batched update coalescing (`δ(u₁ ⊎ u₂ ⊎ …)` preprocessing).
+    /// and the winning run is packed into the result's tree with a single
+    /// batched retain pass — `O(N log k)` pair moves for `N` total entries,
+    /// with none of the per-key tree walks a fold of [`Bag::union`]s
+    /// performs. This is the primitive behind batched update coalescing
+    /// (`δ(u₁ ⊎ u₂ ⊎ …)` preprocessing).
     ///
     /// ```
     /// use nrc_data::{Bag, Value};
@@ -504,9 +374,8 @@ impl Bag {
             1 => return bags[0].clone(),
             _ => {}
         }
-        // Seed the tournament with every bag's canonical run (tree tiers
-        // materialize their pairs once), then merge pairs of runs until one
-        // remains.
+        // Seed the tournament with every bag's canonical run, then merge
+        // pairs of runs until one remains.
         let mut runs: Vec<Vec<(Vid, i64)>> = bags.iter().map(|b| b.ids().collect()).collect();
         while runs.len() > 1 {
             let mut next = Vec::with_capacity(runs.len().div_ceil(2));
@@ -609,94 +478,13 @@ impl Bag {
     }
 }
 
-/// The tree tier's overflow-checked point upsert (shared by the per-key and
-/// the pre-coalesced bulk paths).
-fn tree_insert(map: &mut VidMap<i64>, id: Vid, mult: i64) -> Result<(), DataError> {
-    debug_assert!(mult != 0, "zero multiplicities never reach the upsert");
-    map.upsert_with(id, |current| match current {
-        None => Ok(Some(mult)),
-        Some(&m) => {
-            let new = m.checked_add(mult).ok_or(DataError::Overflow { op: "⊎" })?;
-            Ok((new != 0).then_some(new))
-        }
-    })
-}
-
-impl Default for Bag {
-    fn default() -> Bag {
-        Bag {
-            repr: Repr::Small(SortedVidRun::new()),
-        }
-    }
-}
-
-impl Clone for Bag {
-    fn clone(&self) -> Bag {
-        Bag {
-            repr: match &self.repr {
-                Repr::Small(run) => Repr::Small(run.clone()),
-                Repr::Tree(map) => Repr::Tree(map.clone()),
-            },
-        }
-    }
-}
-
-// Equality, ordering and hashing are defined over the canonical pair
-// sequence, which both tiers produce identically — so a small bag and a
-// tree bag of equal contents are fully interchangeable (including as
-// interned `Value::Bag` keys and dictionary definitions). The definitions
-// are those of a `BTreeMap<Vid, i64>` (lexicographic iterator comparison
-// of `(key, value)` pairs; length-then-entries hashing).
-
-impl PartialEq for Bag {
-    fn eq(&self, other: &Bag) -> bool {
-        if let (Repr::Tree(a), Repr::Tree(b)) = (&self.repr, &other.repr) {
-            if a.ptr_eq(b) {
-                return true;
-            }
-        }
-        self.distinct_count() == other.distinct_count() && self.ids().eq(other.ids())
-    }
-}
-
-impl Eq for Bag {}
-
-impl PartialOrd for Bag {
-    fn partial_cmp(&self, other: &Bag) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Bag {
-    fn cmp(&self, other: &Bag) -> Ordering {
-        self.ids().cmp(other.ids())
-    }
-}
-
-impl Hash for Bag {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.distinct_count().hash(state);
-        for (id, m) in self.ids() {
-            id.hash(state);
-            m.hash(state);
-        }
-    }
-}
-
 impl Serialize for Bag {
-    /// Tier-independent: both representations serialize as the sorted
-    /// `[id, multiplicity]` pair array (the shape the former derived impl
-    /// produced). Real persistence goes through [`crate::codec`], which is
-    /// arena-independent; this JSON form serves diagnostics.
+    /// The sorted `[id, multiplicity]` pair array under `"elems"` (the
+    /// shape the former derived impl produced). Real persistence goes
+    /// through [`crate::codec`], which is arena-independent; this JSON form
+    /// serves diagnostics.
     fn to_json(&self) -> Json {
-        Json::Object(vec![(
-            "elems".to_string(),
-            Json::Array(
-                self.ids()
-                    .map(|(id, m)| Json::Array(vec![id.to_json(), m.to_json()]))
-                    .collect(),
-            ),
-        )])
+        Json::Object(vec![("elems".to_string(), self.map.to_json())])
     }
 }
 
@@ -993,31 +781,13 @@ mod tests {
     }
 
     #[test]
-    fn growth_promotes_small_to_tree_and_back_never() {
-        let n = Bag::SMALL_TIER_MAX as i64 + 10;
-        let mut bag = Bag::empty();
-        assert!(bag.is_small_tier());
-        for i in 0..n {
-            bag.insert(Value::int(i), 1);
-        }
-        assert!(!bag.is_small_tier(), "growth past the threshold promotes");
-        assert_eq!(bag.distinct_count(), n as usize);
-        // Shrinking below the threshold does not demote (hysteresis).
-        for i in 0..n - 1 {
-            bag.insert(Value::int(i), -1);
-        }
-        assert!(!bag.is_small_tier());
-        assert_eq!(bag.distinct_count(), 1);
-        assert_eq!(bag.multiplicity(&Value::int(n - 1)), 1);
-    }
-
-    #[test]
-    fn tiers_are_interchangeable_in_eq_ord_hash_and_iteration() {
+    fn equal_contents_in_different_tree_shapes_are_interchangeable() {
         use std::collections::hash_map::DefaultHasher;
-        let n = Bag::SMALL_TIER_MAX as i64 + 50;
-        // `big` grows through promotion; `shrunk` is the same content
-        // reached by cancelling `big` down — a tree-tier bag whose size is
-        // small-tier territory.
+        use std::hash::{Hash, Hasher};
+        let n = 2_000i64;
+        // `big` grows key by key into a multi-level tree; `shrunk` is the
+        // same content reached by cancelling `big` down, so its tree has a
+        // different history (and shape) from the freshly packed `small`.
         let mut big = Bag::empty();
         for i in 0..n {
             big.insert(Value::int(i), 2);
@@ -1027,8 +797,6 @@ mod tests {
             shrunk.insert(Value::int(i), -2);
         }
         let small = b(&[(0, 2), (1, 2), (2, 2)]);
-        assert!(small.is_small_tier());
-        assert!(!shrunk.is_small_tier());
         assert_eq!(small, shrunk);
         assert_eq!(small.cmp(&shrunk), std::cmp::Ordering::Equal);
         let hash_of = |bag: &Bag| {
@@ -1037,36 +805,77 @@ mod tests {
             h.finish()
         };
         assert_eq!(hash_of(&small), hash_of(&shrunk));
-        assert!(small.ids().eq(shrunk.ids()));
         assert_eq!(
             small.ids().collect::<Vec<_>>(),
             shrunk.ids().collect::<Vec<_>>()
         );
-        // Mixed-tier algebra: union of a tree bag and a small bag.
+        // The cancellations left the clone taken before them untouched.
+        assert_eq!(big.distinct_count(), n as usize);
         let mut mixed = shrunk.union(&small);
         assert_eq!(mixed, small.scale(2).unwrap());
         mixed.union_assign_scaled(&small, -2).unwrap();
         assert!(mixed.is_empty());
-        // Ord is the canonical pair order regardless of tier.
+        // Ord is the lexicographic pair order.
         let smaller = b(&[(0, 1)]);
         assert!(smaller < small);
         assert_eq!(small.partial_cmp(&shrunk), Some(std::cmp::Ordering::Equal));
     }
 
     #[test]
-    fn bulk_constructors_pick_the_tier_by_size() {
-        let small = Bag::from_pairs((0..10i64).map(|i| (Value::int(i), 1)));
-        assert!(small.is_small_tier());
-        let big = Bag::from_pairs((0..Bag::SMALL_TIER_MAX as i64 + 1).map(|i| (Value::int(i), 1)));
-        assert!(!big.is_small_tier());
-        // Derived results follow their own size, not the source tier.
-        assert!(big.scale(3).unwrap().distinct_count() > Bag::SMALL_TIER_MAX);
-        assert!(!big.negate().is_small_tier());
-        let merged = Bag::union_many([&big, &big.negate()]);
-        assert!(merged.is_empty());
-        assert!(
-            merged.is_small_tier(),
-            "empty results live in the small tier"
+    fn overflow_mid_union_surfaces_and_orphans_no_retain() {
+        let _serial = intern::gc_test_serial();
+        let vals: Vec<Value> = (0..4)
+            .map(|i| Value::str(format!("gc-bag-overflow-{i}")))
+            .collect();
+        let ids: Vec<Vid> = vals.iter().map(|v| intern::intern(v.clone())).collect();
+        let mut bag = Bag::from_id_pairs([(ids[0], 1), (ids[1], i64::MAX)]);
+        let delta = Bag::from_id_pairs([(ids[1], 1), (ids[2], 5)]);
+        let scaled = Bag::from_id_pairs([(ids[3], i64::MAX)]);
+        let before = bag.clone();
+        // Whichever of ids[1] / ids[2] comes first in key order, ids[1]
+        // overflows and the bag keeps its old multiplicity there.
+        assert_eq!(
+            bag.union_assign_scaled(&delta, 1),
+            Err(DataError::Overflow { op: "⊎" })
         );
+        assert_eq!(bag.multiplicity_id(ids[0]), 1);
+        assert_eq!(bag.multiplicity_id(ids[1]), i64::MAX);
+        assert_eq!(
+            bag.union_assign_scaled(&scaled, 2),
+            Err(DataError::Overflow { op: "scaled ⊎" })
+        );
+        assert_eq!(bag.multiplicity_id(ids[3]), 0);
+        // Every retain is owned by a live bag: dropping them all leaves
+        // every slot collectible.
+        drop((bag, before, delta, scaled));
+        intern::collect_now();
+        for v in &vals {
+            assert!(
+                intern::lookup(v).is_none(),
+                "a failed ⊎ must leave no retain behind"
+            );
+        }
+    }
+
+    #[test]
+    fn cancelled_keys_are_released() {
+        let _serial = intern::gc_test_serial();
+        let gone = Value::str("gc-bag-cancelled-gone");
+        let kept = Value::str("gc-bag-cancelled-kept");
+        let mut bag = Bag::from_pairs([(gone.clone(), 2), (kept.clone(), 1)]);
+        // Cancel under a clone too: the clone's copy of the leaf keeps the
+        // key until the clone drops.
+        let held = bag.clone();
+        bag.union_assign_scaled(&Bag::from_pairs([(gone.clone(), 1)]), -2)
+            .unwrap();
+        assert_eq!(bag.distinct_count(), 1);
+        drop(held);
+        intern::collect_now();
+        assert!(
+            intern::lookup(&gone).is_none(),
+            "cancelled key stays retained"
+        );
+        assert!(intern::lookup(&kept).is_some());
+        assert_eq!(bag.multiplicity(&kept), 1);
     }
 }

@@ -308,9 +308,9 @@ pub fn decode_value(r: &mut Reader<'_>) -> Result<Value, CodecError> {
 }
 
 /// Decode one bag; interning happens entry by entry, then the collected
-/// pairs are sorted/coalesced once and the bag picks its representation
-/// tier by size with a single batched retain pass (`Bag::from_pairs` is
-/// the bulk construction funnel — no per-entry tree inserts).
+/// pairs are sorted/coalesced once and packed into the bag's tree with a
+/// single batched retain pass (`Bag::from_pairs` is the bulk construction
+/// funnel — no per-entry tree inserts).
 pub fn decode_bag(r: &mut Reader<'_>) -> Result<Bag, CodecError> {
     let n = r.len("bag")?;
     let mut pairs = Vec::with_capacity(n);

@@ -89,7 +89,7 @@ impl fmt::Display for Label {
 /// *is* membership in the support (`supp`), so `[l ↦ ∅]` is representable
 /// and distinct from `[]`. Iteration stays in canonical label order (`Ord`
 /// on [`Vid`] refines `Ord` on `Label`).
-/// Like a tree-tier [`Bag`], the entry map is the crate's persistent
+/// Like a [`Bag`], the entry map is the crate's persistent
 /// (path-copying) `VidMap`: a clone shares every node, so snapshotting
 /// shredded stores is `O(1)`, and the next write into a shared dictionary
 /// copies only the path to the label it touches. Like `Bag`'s, the key set

@@ -1439,8 +1439,8 @@ mod tests {
         // still-dying slots; `try_value` observes without interfering.)
         let mut rounds = 1;
         // Sibling tests can queue thousands of unrelated dying entries (the
-        // bag tier tests intern >`Bag::SMALL_TIER_MAX` values apiece), so
-        // the progress bound scales with the observed backlog instead of
+        // bag and tree tests intern thousands of values apiece), so the
+        // progress bound scales with the observed backlog instead of
         // assuming a small fixed queue.
         let limit = 64 + (first.pending / 7) as usize;
         while ids.iter().any(|id| id.try_value().is_ok()) {

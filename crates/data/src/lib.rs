@@ -38,13 +38,10 @@
 //! deterministically). See the reclamation section of [`intern`] and the
 //! epoch-pin API ([`intern::pin`], [`ArenaStats`]).
 //!
-//! [`Bag`] itself is *two-tier*: below [`Bag::SMALL_TIER_MAX`] distinct
-//! elements a bag is one columnar sorted `Vec<(Vid, i64)>` whose merges are
-//! linear passes with batched arena retains; above it, a persistent
-//! (path-copying) B+tree whose clones are `O(1)` and whose writes under a
-//! clone copy `O(|Δ| log n)` entries. The tiers share one canonical form,
-//! so they are indistinguishable through the public API — see the [`bag`]
-//! module docs. [`Dictionary`] supports use the same tree.
+//! [`Bag`] has one representation at every size: a persistent
+//! (path-copying) B+tree whose clones are `O(1)` and whose writes, under a
+//! clone or not, cost `O(|Δ| log n)` — see the [`bag`] module docs.
+//! [`Dictionary`] supports use the same tree.
 
 pub mod bag;
 pub mod base;

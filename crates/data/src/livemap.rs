@@ -1,8 +1,8 @@
-//! The id-keyed containers that keep the intern arena's live counts:
-//! [`VidMap`] (tree tier) and [`SortedVidRun`] (columnar small tier).
+//! The id-keyed container that keeps the intern arena's live counts:
+//! [`VidMap`], a persistent B+tree.
 //!
-//! [`crate::Bag`] and [`crate::Dictionary`] store their contents in these
-//! containers, whose *key sets* participate in arena reclamation. Every key
+//! [`crate::Bag`] and [`crate::Dictionary`] store their contents in it,
+//! and its *key set* participates in arena reclamation. Every key
 //! insertion retains the key's arena slot; every key removal (and the drop
 //! of the storage that holds the key) releases it. When the last reference
 //! to a slot disappears, the slot becomes collectible by `intern::collect`
@@ -50,19 +50,7 @@
 //! [`crate::Bag`]s whose own containers handle their elements, which is
 //! exactly how dropping an interned value tree cascades releases through
 //! nesting levels.
-//!
-//! # `SortedVidRun`
-//!
-//! `SortedVidRun` holds a strictly sorted `Vec<(Vid, i64)>` under the same
-//! liveness contract, but its bulk mutation is *linear merges over sorted
-//! runs*: arena traffic is proportional to the key-set delta (fresh keys
-//! retained, cancelled keys released in one batched pass), never to the
-//! run length. The two types share a transfer seam
-//! ([`SortedVidRun::into_retained_pairs`] /
-//! [`VidMap::from_retained_sorted`]) so a run can promote into a map with
-//! zero retain/release churn — the key carries its retain across tiers.
 
-use crate::error::DataError;
 use crate::intern::{self, Vid};
 use serde::{Deserialize, Json, Serialize};
 use std::cmp::Ordering;
@@ -398,20 +386,22 @@ fn retain_node<T: Clone>(node: &mut Arc<Node<T>>, keep: &mut impl FnMut(Vid, &T)
     removed
 }
 
-/// Group `items` into nodes of `FANOUT - 1`, each paired with its
-/// separator.
-fn pack<T, X>(items: Vec<X>, node: impl Fn(Vec<X>) -> Node<T>) -> Vec<(Key, Arc<Node<T>>)> {
+/// Group `items` into nodes of `FANOUT - 1` (the last one holds the rest),
+/// each paired with its separator.
+fn pack<T, X>(
+    mut items: impl ExactSizeIterator<Item = X>,
+    node: impl Fn(Vec<X>) -> Node<T>,
+) -> Vec<(Key, Arc<Node<T>>)> {
     let mut packed = Vec::with_capacity(items.len().div_ceil(FANOUT - 1));
-    let mut items = items.into_iter();
-    loop {
-        let mut chunk = node_vec(FANOUT - 1);
+    while items.len() > 0 {
+        // Sized to the contents: a bag of three entries is one leaf of
+        // four slots, not of `FANOUT`.
+        let mut chunk = node_vec(items.len().min(FANOUT - 1));
         chunk.extend(items.by_ref().take(FANOUT - 1));
-        if chunk.is_empty() {
-            return packed;
-        }
         let node = node(chunk);
         packed.push((node.max_key(), Arc::new(node)));
     }
+    packed
 }
 
 /// A persistent ordered map from [`Vid`] to `T` whose leaves retain their
@@ -482,24 +472,22 @@ impl<T> VidMap<T> {
         iter
     }
 
-    /// Build from an *already-retained*, strictly key-sorted pair vec:
-    /// ownership of the keys' retains transfers in, so construction does no
-    /// arena traffic at all. The Small→Tree promotion seam of the two-tier
-    /// [`crate::Bag`] — a key keeps the one retain it already owns while
-    /// its container representation changes underneath it.
+    /// Build from an *already-retained*, strictly key-sorted pair vec,
+    /// packing full leaves bottom-up: ownership of the keys' retains
+    /// transfers in, so construction itself does no arena traffic. The
+    /// bulk-construction funnel of [`crate::Bag`].
     pub(crate) fn from_retained_sorted(pairs: Vec<(Vid, T)>) -> VidMap<T> {
         debug_assert!(
             pairs.windows(2).all(|w| w[0].0 < w[1].0),
             "transferred pairs must be strictly key-sorted"
         );
         let len = pairs.len();
-        let entries = pairs
-            .into_iter()
-            .map(|(vid, value)| (Key::new(vid), value))
-            .collect();
+        let entries = pairs.into_iter().map(|(vid, value)| (Key::new(vid), value));
         let mut level = pack(entries, |entries| Node::Leaf(Leaf { entries }));
         while level.len() > 1 {
-            level = pack(level, |children| Node::Branch(Branch { children }));
+            level = pack(level.into_iter(), |children| {
+                Node::Branch(Branch { children })
+            });
         }
         VidMap {
             root: level.pop().map(|(_, root)| root),
@@ -531,7 +519,7 @@ impl<T: Clone> VidMap<T> {
     ) -> Result<(), E> {
         let root = self.root.get_or_insert_with(|| {
             Arc::new(Node::Leaf(Leaf {
-                entries: Vec::new(),
+                entries: node_vec(1),
             }))
         });
         let result = edit_node(root, key, op).map(|(delta, split)| {
@@ -564,6 +552,18 @@ impl<T: Clone> VidMap<T> {
         merge: impl FnOnce(Option<&T>) -> Result<Option<T>, E>,
     ) -> Result<(), E> {
         let key = Key::new(key);
+        if self.root.is_none() {
+            // The first key (most bags are singletons): build its leaf
+            // directly.
+            if let Some(value) = merge(None)? {
+                intern::retain(key.vid);
+                let mut entries = node_vec(1);
+                entries.push((key, value));
+                self.root = Some(Arc::new(Node::Leaf(Leaf { entries })));
+                self.len = 1;
+            }
+            return Ok(());
+        }
         self.edit(key, |entries, at| {
             Ok(match at {
                 Err(at) => match merge(None)? {
@@ -768,209 +768,6 @@ impl<T: Serialize> Serialize for VidMap<T> {
 }
 
 impl<T: Deserialize> Deserialize for VidMap<T> {}
-
-/// Canonical-form debug check shared by the run constructors: strictly
-/// ascending keys, no zero multiplicities.
-fn debug_assert_canonical(pairs: &[(Vid, i64)]) {
-    debug_assert!(
-        pairs.windows(2).all(|w| w[0].0 < w[1].0),
-        "run keys must be strictly sorted"
-    );
-    debug_assert!(
-        pairs.iter().all(|&(_, m)| m != 0),
-        "run must hold no zero multiplicities"
-    );
-}
-
-/// A strictly sorted `(Vid, multiplicity)` run — the columnar small tier of
-/// [`crate::Bag`] — whose key set owns arena retains under exactly the
-/// contract [`VidMap`]'s does: one retain per distinct key, released when
-/// the key leaves the run or the run drops.
-///
-/// Canonical-form invariants (checked in debug builds): keys strictly
-/// ascending, no zero multiplicities. Bulk mutation is a linear merge over
-/// sorted runs; arena traffic is proportional to the *key-set delta*
-/// (fresh keys retained, cancelled keys released), never to the run
-/// length — the batched-retain seam the two-tier `Bag` relies on to claw
-/// back the per-node liveness tax.
-#[derive(Debug, Default)]
-pub(crate) struct SortedVidRun {
-    pairs: Vec<(Vid, i64)>,
-}
-
-impl SortedVidRun {
-    /// The empty run.
-    pub(crate) fn new() -> SortedVidRun {
-        SortedVidRun { pairs: Vec::new() }
-    }
-
-    /// Take ownership of a canonical (strictly sorted, zero-free) pair vec
-    /// whose keys are *not yet* retained, retaining every key in one dense
-    /// pass — the bulk-construction half of the batched-retain seam.
-    pub(crate) fn from_unretained(pairs: Vec<(Vid, i64)>) -> SortedVidRun {
-        debug_assert_canonical(&pairs);
-        for &(id, _) in &pairs {
-            intern::retain(id);
-        }
-        SortedVidRun { pairs }
-    }
-
-    /// Dissolve into the raw pair vec *without releasing*: the caller takes
-    /// ownership of one retain per key (see
-    /// [`VidMap::from_retained_sorted`], the promotion seam).
-    pub(crate) fn into_retained_pairs(mut self) -> Vec<(Vid, i64)> {
-        // `Drop` then runs over the emptied vec and releases nothing.
-        std::mem::take(&mut self.pairs)
-    }
-
-    /// Number of distinct keys.
-    pub(crate) fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// Is the run empty?
-    pub(crate) fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    /// The canonical pair slice.
-    pub(crate) fn as_slice(&self) -> &[(Vid, i64)] {
-        &self.pairs
-    }
-
-    /// The multiplicity of `id`, if present (binary search — `O(log n)`
-    /// integer-rank compares).
-    pub(crate) fn get(&self, id: Vid) -> Option<i64> {
-        self.pairs
-            .binary_search_by(|&(k, _)| k.cmp(&id))
-            .ok()
-            .map(|i| self.pairs[i].1)
-    }
-
-    /// Point upsert: add `mult` (non-zero) to `id`'s multiplicity, removing
-    /// the entry (and releasing the key) on cancellation, inserting (and
-    /// retaining) on a fresh key. Overflow leaves the run unchanged.
-    pub(crate) fn insert(&mut self, id: Vid, mult: i64) -> Result<(), DataError> {
-        debug_assert!(mult != 0, "zero multiplicities never enter a run");
-        match self.pairs.binary_search_by(|&(k, _)| k.cmp(&id)) {
-            Ok(i) => {
-                let new = self.pairs[i]
-                    .1
-                    .checked_add(mult)
-                    .ok_or(DataError::Overflow { op: "⊎" })?;
-                if new == 0 {
-                    self.pairs.remove(i);
-                    intern::release(id);
-                } else {
-                    self.pairs[i].1 = new;
-                }
-            }
-            Err(i) => {
-                intern::retain(id);
-                self.pairs.insert(i, (id, mult));
-            }
-        }
-        Ok(())
-    }
-
-    /// Linear-merge `self ⊎= k · other` over the sorted runs (`k ≠ 0`,
-    /// `other` strictly key-sorted and zero-free). Keys present on both
-    /// sides keep the retain they already own; cancelled keys are released
-    /// and fresh keys retained — the only arena traffic of the whole merge.
-    ///
-    /// On multiplicity overflow the merge stops, every still-owned entry is
-    /// kept (the run stays canonical and liveness-consistent, merely
-    /// partially merged — matching the partial-application semantics of the
-    /// per-key tree path) and the error is surfaced.
-    pub(crate) fn merge_scaled<I>(&mut self, other: I, k: i64) -> Result<(), DataError>
-    where
-        I: Iterator<Item = (Vid, i64)>,
-    {
-        debug_assert!(k != 0, "k = 0 is the caller's early-out");
-        let mut b = other.peekable();
-        let extra = {
-            let (lo, hi) = b.size_hint();
-            hi.unwrap_or(lo)
-        };
-        let old = std::mem::take(&mut self.pairs);
-        let mut out: Vec<(Vid, i64)> = Vec::with_capacity(old.len() + extra);
-        let mut cancelled: Vec<Vid> = Vec::new();
-        let mut a = old.into_iter().peekable();
-        let mut failed: Option<DataError> = None;
-        while failed.is_none() {
-            let step = match (a.peek(), b.peek()) {
-                (Some(&(ka, _)), Some(&(kb, _))) => ka.cmp(&kb),
-                (Some(_), None) => std::cmp::Ordering::Less,
-                (None, Some(_)) => std::cmp::Ordering::Greater,
-                (None, None) => break,
-            };
-            match step {
-                std::cmp::Ordering::Less => out.push(a.next().expect("peeked")),
-                std::cmp::Ordering::Greater => {
-                    let (id, m) = b.next().expect("peeked");
-                    debug_assert!(m != 0, "merged runs are zero-free");
-                    match m.checked_mul(k) {
-                        Some(scaled) => {
-                            intern::retain(id);
-                            out.push((id, scaled));
-                        }
-                        None => failed = Some(DataError::Overflow { op: "scaled ⊎" }),
-                    }
-                }
-                std::cmp::Ordering::Equal => {
-                    let (id, ma) = a.next().expect("peeked");
-                    let (_, mb) = b.next().expect("peeked");
-                    match mb.checked_mul(k) {
-                        None => {
-                            failed = Some(DataError::Overflow { op: "scaled ⊎" });
-                            out.push((id, ma));
-                        }
-                        Some(scaled) => match ma.checked_add(scaled) {
-                            Some(0) => cancelled.push(id),
-                            Some(sum) => out.push((id, sum)),
-                            None => {
-                                failed = Some(DataError::Overflow { op: "⊎" });
-                                out.push((id, ma));
-                            }
-                        },
-                    }
-                }
-            }
-        }
-        // Flush the remaining owned entries (on failure: everything after
-        // the overflow point, untouched) so no retain is orphaned.
-        out.extend(a);
-        for id in cancelled {
-            intern::release(id);
-        }
-        debug_assert_canonical(&out);
-        self.pairs = out;
-        match failed {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-}
-
-impl Clone for SortedVidRun {
-    /// One dense retain pass plus a flat memcpy — no per-node allocation.
-    fn clone(&self) -> SortedVidRun {
-        for &(id, _) in &self.pairs {
-            intern::retain(id);
-        }
-        SortedVidRun {
-            pairs: self.pairs.clone(),
-        }
-    }
-}
-
-impl Drop for SortedVidRun {
-    fn drop(&mut self) {
-        for &(id, _) in &self.pairs {
-            intern::release(id);
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -1301,40 +1098,18 @@ mod tests {
     }
 
     #[test]
-    fn run_merges_are_canonical_and_cancel() {
-        let mut ids: Vec<Vid> = (10..16).map(probe).collect();
-        ids.sort();
-        let mut run = SortedVidRun::from_unretained(ids.iter().map(|&id| (id, 2)).collect());
-        assert_eq!(run.len(), 6);
-        // `⊎ -2·(each key once)` cancels every entry in one linear pass.
-        run.merge_scaled(ids.iter().map(|&id| (id, 1)), -2).unwrap();
-        assert!(run.is_empty());
-        // Point inserts keep strict sortedness wherever they splice in.
-        run.insert(ids[3], 5).unwrap();
-        run.insert(ids[1], 1).unwrap();
-        assert_eq!(run.as_slice(), &[(ids[1], 1), (ids[3], 5)]);
-        assert_eq!(run.get(ids[3]), Some(5));
-        assert_eq!(run.get(ids[0]), None);
-        // A scaled merge interleaves fresh keys among owned ones.
-        run.merge_scaled([(ids[0], 1), (ids[2], 1)].into_iter(), 3)
-            .unwrap();
-        assert_eq!(
-            run.as_slice(),
-            &[(ids[0], 3), (ids[1], 1), (ids[2], 3), (ids[3], 5)]
-        );
-    }
-
-    #[test]
-    fn run_liveness_transfers_across_the_promotion_seam() {
+    fn bulk_build_takes_over_the_callers_retains() {
         let _serial = intern::gc_test_serial();
         let vals: Vec<Value> = (0..4)
-            .map(|i| Value::str(format!("gc-run-seam-{i}")))
+            .map(|i| Value::str(format!("gc-bulk-build-{i}")))
             .collect();
         let mut ids: Vec<Vid> = vals.iter().map(|v| intern::intern(v.clone())).collect();
         ids.sort();
-        let run = SortedVidRun::from_unretained(ids.iter().map(|&id| (id, 1)).collect());
-        // Promotion: the run's retains transfer into the map wholesale.
-        let map: VidMap<i64> = VidMap::from_retained_sorted(run.into_retained_pairs());
+        for &id in &ids {
+            intern::retain(id);
+        }
+        let map: VidMap<i64> =
+            VidMap::from_retained_sorted(ids.iter().map(|&id| (id, 1)).collect());
         intern::collect_now();
         for v in &vals {
             assert!(
@@ -1350,27 +1125,6 @@ mod tests {
                 "dropping the map must release the transferred retains"
             );
         }
-    }
-
-    #[test]
-    fn run_merge_overflow_surfaces_and_keeps_owned_entries() {
-        let mut ids: Vec<Vid> = (20..24).map(probe).collect();
-        ids.sort();
-        let mut run = SortedVidRun::from_unretained(vec![(ids[0], 1), (ids[1], i64::MAX)]);
-        let err = run
-            .merge_scaled([(ids[1], 1), (ids[2], 5)].into_iter(), 1)
-            .unwrap_err();
-        assert_eq!(err, DataError::Overflow { op: "⊎" });
-        // The overflowing entry keeps its old multiplicity; entries past
-        // the failure point never enter; the run stays canonical.
-        assert_eq!(run.get(ids[0]), Some(1));
-        assert_eq!(run.get(ids[1]), Some(i64::MAX));
-        assert_eq!(run.get(ids[2]), None);
-        let err = run
-            .merge_scaled([(ids[3], i64::MAX)].into_iter(), 2)
-            .unwrap_err();
-        assert_eq!(err, DataError::Overflow { op: "scaled ⊎" });
-        assert_eq!(run.get(ids[3]), None);
     }
 
     #[test]

@@ -233,6 +233,37 @@ mod tests {
     }
 
     #[test]
+    fn hostile_nesting_is_a_parse_error_not_an_abort() {
+        let mut sys = IvmSystem::new(example_movies());
+        let deep = format!("{}M{}", "(".repeat(100_000), ")".repeat(100_000));
+        let program = format!("relation M(name: Str, gen: Str, dir: Str);\nquery q := {deep};");
+        for src in [deep, program] {
+            match sys.register_query("deep", &src) {
+                Err(NrcError::Parse { error, .. }) => {
+                    assert!(error.message.contains("nesting deeper than"), "{error}");
+                }
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
+        assert!(sys.view("deep").is_err());
+        // At the parser's budget (64 levels), the later passes' recursion
+        // still fits a test thread's 2 MiB stack.
+        for (name, src) in [
+            ("negations", format!("{}M", "- ".repeat(63))),
+            (
+                "unions",
+                format!("{}M{}", "M ++ (".repeat(63), ")".repeat(63)),
+            ),
+            (
+                "flattens",
+                format!("{}M{}", "flatten(sng(".repeat(31), "))".repeat(31)),
+            ),
+        ] {
+            sys.register_query(name, &src).unwrap();
+        }
+    }
+
+    #[test]
     fn program_schema_mismatch_is_a_type_error() {
         let mut sys = IvmSystem::new(example_movies());
         let src = "relation M(name: Str, gen: Int);\nquery q := M;";

@@ -224,10 +224,8 @@ impl UpdateBatch {
     }
 
     /// Add one update to the batch, `⊎`-merging it into the relation's
-    /// existing segment if there is one. Segments are the archetypal
-    /// small-tier bags: while a segment stays below
-    /// [`Bag::SMALL_TIER_MAX`] distinct elements each merge is one linear
-    /// pass over two sorted runs, with arena retains batched per merge.
+    /// existing segment if there is one: `O(|delta| log |segment|)` per
+    /// merge.
     pub fn push(&mut self, rel: impl Into<String>, delta: Bag) {
         let rel = rel.into();
         self.raw_updates += 1;

@@ -113,6 +113,14 @@ pub fn parse_expr(src: &str, relations: &[RelationDecl]) -> Result<Expr, ParseEr
     Ok(e)
 }
 
+/// The deepest nesting of expressions, predicates or types the parser
+/// accepts, so hostile text (say, a catalog entry read back from disk)
+/// cannot overflow its stack. Typechecking, delta derivation, shredding
+/// and evaluation recurse over the parsed tree too; at this depth the
+/// deepest negation, union and `flatten(sng(…))` chains still register
+/// on a 2 MiB thread stack in a debug build.
+const MAX_DEPTH: usize = 64;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -123,6 +131,8 @@ struct Parser {
     elem_vars: Vec<(String, Type, NameTree)>,
     let_vars: Vec<(String, Type, NameTree)>,
     next_sng: u32,
+    /// Nesting levels currently open (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -135,7 +145,23 @@ impl Parser {
             elem_vars: vec![],
             let_vars: vec![],
             next_sng: 1,
+            depth: 0,
         }
+    }
+
+    /// Run `parse` one nesting level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let result = parse(self);
+        self.depth -= 1;
+        result
     }
 
     fn peek(&self) -> &TokenKind {
@@ -314,7 +340,7 @@ impl Parser {
         loop {
             let fname = self.ident()?;
             self.expect(&TokenKind::Colon)?;
-            let (t, nt) = self.parse_type()?;
+            let (t, nt) = self.nested(Parser::parse_type)?;
             names.push((fname, nt));
             tys.push(t);
             match self.bump() {
@@ -333,7 +359,7 @@ impl Parser {
             TokenKind::Ident(s) if s == "Bool" => Ok((Type::Base(BaseType::Bool), NameTree::None)),
             TokenKind::Ident(s) if s == "Bag" => {
                 self.expect(&TokenKind::LParen)?;
-                let (t, nt) = self.parse_type()?;
+                let (t, nt) = self.nested(Parser::parse_type)?;
                 self.expect(&TokenKind::RParen)?;
                 Ok((Type::bag(t), NameTree::Bag(Box::new(nt))))
             }
@@ -355,7 +381,7 @@ impl Parser {
                 } else {
                     let mut tys = vec![];
                     loop {
-                        let (t, _) = self.parse_type()?;
+                        let (t, _) = self.nested(Parser::parse_type)?;
                         tys.push(t);
                         match self.bump() {
                             TokenKind::Comma => continue,
@@ -376,7 +402,7 @@ impl Parser {
     // ---- expressions ------------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.union_expr()
+        self.nested(Parser::union_expr)
     }
 
     fn union_expr(&mut self) -> Result<Expr, ParseError> {
@@ -406,7 +432,7 @@ impl Parser {
     fn unary_expr(&mut self) -> Result<Expr, ParseError> {
         if matches!(self.peek(), TokenKind::Minus) {
             self.bump();
-            let e = self.unary_expr()?;
+            let e = self.nested(Parser::unary_expr)?;
             return Ok(Expr::Negate(Box::new(e)));
         }
         self.primary()
@@ -749,12 +775,12 @@ impl Parser {
     fn pred_not(&mut self) -> Result<BoolExpr, ParseError> {
         if matches!(self.peek(), TokenKind::Bang) {
             self.bump();
-            let e = self.pred_not()?;
+            let e = self.nested(Parser::pred_not)?;
             return Ok(BoolExpr::Not(Box::new(e)));
         }
         if matches!(self.peek(), TokenKind::LParen) {
             self.bump();
-            let e = self.pred_or()?;
+            let e = self.nested(Parser::pred_or)?;
             self.expect(&TokenKind::RParen)?;
             return Ok(e);
         }
@@ -1026,6 +1052,33 @@ mod tests {
         // Rendering must not panic or index out of bounds at end of input.
         let rendered = err.render(src);
         assert!(rendered.contains('^'), "got {rendered}");
+    }
+
+    #[test]
+    fn nesting_past_the_depth_budget_is_a_spanned_error() {
+        let decls = [movie_decl()];
+        let deep = |open: &str, inner: &str, close: &str, n: usize| {
+            format!("{}{inner}{}", open.repeat(n), close.repeat(n))
+        };
+        // 100 000 parentheses: an error at the first one too many, not a
+        // stack overflow.
+        let src = deep("(", "M", ")", 100_000);
+        let err = parse_expr(&src, &decls).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+        assert_eq!(err.span.start, MAX_DEPTH);
+        assert_eq!(&src[err.span.start..err.span.end], "(");
+        // Every recursive production is bounded: negation, predicates,
+        // types.
+        assert!(parse_expr(&deep("- ", "M", "", 100_000), &decls).is_err());
+        let pred = deep("!(", "m.gen == \"x\"", ")", 100_000);
+        let src = format!("for m in M where {pred} union sng(m)");
+        assert!(parse_expr(&src, &decls).is_err());
+        let ty = deep("Bag(", "Int", ")", 100_000);
+        assert!(parse_program(&format!("relation R(x: {ty});")).is_err());
+        // Within the budget, deep nesting still parses.
+        let ok = deep("(", "M", ")", MAX_DEPTH - 1);
+        assert_eq!(parse_expr(&ok, &decls).unwrap(), Expr::Rel("M".into()));
+        assert!(parse_expr(&deep("- ", "M", "", MAX_DEPTH - 1), &decls).is_ok());
     }
 
     #[test]

@@ -38,9 +38,8 @@ pub struct FeedDelta {
     /// `batch_index`.
     pub batch_index: u64,
     /// The coalesced change (`∅` when the batch left the view unchanged).
-    /// Per-batch view deltas are the archetypal transient small-tier bag:
-    /// cloning one for fan-out is a flat memcpy plus a dense retain pass,
-    /// and a consumer's `union_assign` replay is a linear run merge.
+    /// Cloning one for fan-out is an `O(1)` root bump, and a consumer's
+    /// `union_assign` replay costs `O(|delta| log n)`.
     pub delta: Bag,
 }
 

@@ -7,7 +7,7 @@
 //! writer keeps ingesting.
 //!
 //! What a snapshot costs the writer *afterwards* is the other half of the
-//! cost model. A tree-tier bag or dictionary is a persistent B+tree
+//! cost model. A bag or dictionary is a persistent B+tree
 //! (`nrc_data`'s `livemap`): leaves hold sorted `(id, value)` runs and own
 //! one arena retain per key; branches hold `(separator, child)` pairs,
 //! each separator a copy of the largest key in its child's subtree, kept

@@ -1,18 +1,17 @@
-//! `proptest`-driven invariants of the two-tier `Bag` representation
-//! (small sorted-run tier vs. shared tree tier, `nrc_data::bag`):
+//! `proptest`-driven invariants of `Bag` (`nrc_data::bag`, one persistent
+//! B+tree at every size):
 //!
 //! * **Differential vs. a plain map**: random
-//!   insert/union/difference/scale/bulk-extend/promote sequences agree
+//!   insert/union/difference/scale/bulk-extend/wide-bulk sequences agree
 //!   with a `BTreeMap<Vid, i64>` replica in content, canonical form
 //!   (no zero weights, strictly ascending keys), iteration order, `Ord`
-//!   and `Hash` — whatever tier each intermediate lands in, and across
-//!   the small→tree promotion boundary.
+//!   and `Hash` — from the empty bag through one-leaf bags to multi-level
+//!   trees and back.
 //! * **Engine differential**: four-strategy `apply_batch` over coalesced
-//!   batches whose deltas mix both tiers (transient small runs and
-//!   above-threshold tree bags) equals a sequential one-update-at-a-time
+//!   batches whose deltas mix sizes (the stream's few-entry deltas and
+//!   multi-level wide bags) equals a sequential one-update-at-a-time
 //!   replay, under `CollectPolicy::Bounded` — and every view read
-//!   resolves (no `StaleVid` escapes through small-tier bags, whose
-//!   retain bookkeeping is batched rather than per-node).
+//!   resolves (no `StaleVid` escapes through a bag's retain bookkeeping).
 //!
 //! The arena is process-global, so cases serialize and use per-case
 //! payloads (see `tests/common`).
@@ -29,6 +28,10 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
+/// Entries of a wide bulk op: more than one leaf holds, so the bag becomes
+/// a multi-level tree.
+const WIDE: usize = 520;
+
 /// One step of a random bag-algebra sequence.
 #[derive(Clone, Debug)]
 enum Op {
@@ -42,9 +45,9 @@ enum Op {
     Scale(i64),
     /// `extend_id_pairs` with raw (duplicate/zero-carrying) pairs.
     Bulk(Vec<(u16, i64)>),
-    /// A bulk run wide enough to push the bag across the promotion
-    /// threshold (unless cancellations keep it small — also worth hitting).
-    Promote,
+    /// A bulk run of [`WIDE`] entries: it builds (or widens) a multi-level
+    /// tree, and later cancellations shrink it back.
+    Wide,
 }
 
 fn arb_pairs() -> impl Strategy<Value = Vec<(u16, i64)>> {
@@ -58,7 +61,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
         arb_pairs().prop_map(Op::Diff),
         (-2i64..3).prop_map(Op::Scale),
         arb_pairs().prop_map(Op::Bulk),
-        Just(Op::Promote),
+        Just(Op::Wide),
     ]
 }
 
@@ -80,9 +83,9 @@ fn hash_of<T: Hash>(x: &T) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases_env(24))]
 
-    /// Random op sequences: the two-tier bag stays equal to a plain
+    /// Random op sequences: the bag stays equal to a plain
     /// `BTreeMap<Vid, i64>` replica in content, canonical form, iteration
-    /// order, `Ord` and `Hash`, across promotions and re-tierings.
+    /// order, `Ord` and `Hash`, as its tree grows and shrinks.
     #[test]
     fn random_sequences_agree_with_a_map_replica(ops in prop::collection::vec(arb_op(), 0..24)) {
         let _serial = serial();
@@ -126,9 +129,8 @@ proptest! {
                         replica_add(&mut replica, vid(e), m);
                     }
                 }
-                Op::Promote => {
-                    let wide: Vec<(u16, i64)> =
-                        (0..(Bag::SMALL_TIER_MAX + 8) as u16).map(|e| (e, 1)).collect();
+                Op::Wide => {
+                    let wide: Vec<(u16, i64)> = (0..WIDE as u16).map(|e| (e, 1)).collect();
                     bag.extend_id_pairs(wide.iter().map(|&(e, m)| (vid(e), m)));
                     for &(e, m) in &wide {
                         replica_add(&mut replica, vid(e), m);
@@ -146,20 +148,15 @@ proptest! {
                 "keys not strictly sorted"
             );
             prop_assert_eq!(bag.distinct_count(), replica.len());
-            // Tier invariant: the small tier never holds more than the
-            // threshold (the tree tier may hold fewer — no demotion).
-            if bag.is_small_tier() {
-                prop_assert!(bag.distinct_count() <= Bag::SMALL_TIER_MAX);
-            }
         }
-        // Trait-identity across tiers: a bag freshly built from the replica
-        // (which picks its tier by size alone) is indistinguishable from
-        // the sequence-built bag, whatever tier *that* ended up in.
+        // Trait identity across tree shapes: a bag freshly packed from the
+        // replica is indistinguishable from the sequence-built bag, whose
+        // tree grew and shrank by point edits.
         let rebuilt = Bag::from_id_pairs(replica.iter().map(|(&k, &v)| (k, v)));
         prop_assert_eq!(&bag, &rebuilt);
         prop_assert_eq!(bag.cmp(&rebuilt), std::cmp::Ordering::Equal);
         prop_assert_eq!(hash_of(&bag), hash_of(&rebuilt));
-        // Ord is the lexicographic pair order, tier-independent: perturb
+        // Ord is the lexicographic pair order, shape-independent: perturb
         // the smallest entry and both orders must agree.
         if let Some((id, m)) = bag.ids().next() {
             let mut perturbed = bag.clone();
@@ -173,11 +170,11 @@ proptest! {
         drain();
     }
 
-    /// Coalesced `apply_batch` over mixed-tier deltas under bounded GC
+    /// Coalesced `apply_batch` over mixed-size deltas under bounded GC
     /// equals a sequential one-update-per-batch replay, for all four
     /// maintenance strategies, with every read resolving (no `StaleVid`).
     #[test]
-    fn apply_batch_equals_sequential_replay_with_mixed_tier_deltas(
+    fn apply_batch_equals_sequential_replay_with_mixed_size_deltas(
         seed in 0u64..10_000,
         nbatches in 1usize..4,
         batch_size in 1usize..6,
@@ -197,11 +194,11 @@ proptest! {
         });
         let db = gen.database(16);
         let mut batches: Vec<Vec<(String, Bag)>> = gen.batches(nbatches);
-        // Inject an above-threshold (tree-tier) delta into flagged batches;
-        // its negation rides the *next* batch, so coalescing must merge a
-        // big tree bag against the stream's small transient runs both ways.
+        // Inject a wide (multi-level) delta into flagged batches; its
+        // negation rides the *next* batch, so coalescing must merge a big
+        // bag against the stream's few-entry deltas both ways.
         let big = |tag: usize| -> Bag {
-            Bag::from_values((0..(Bag::SMALL_TIER_MAX + 16) as i64).map(|i| {
+            Bag::from_values((0..WIDE as i64).map(|i| {
                 Value::Tuple(vec![
                     Value::str(format!("tier-big-{case}-{tag}-{i}")),
                     Value::str("genre0"),
@@ -248,8 +245,8 @@ proptest! {
                 replica.apply_batch(&single).expect("sequential update");
             }
             for view in views {
-                // `view` re-resolves every element: a liveness bug in the
-                // small tier's batched retains would surface as StaleVid.
+                // `view` re-resolves every element: a liveness bug in a
+                // bag's retains would surface as StaleVid.
                 let got = sys.view(view).expect("view resolves under bounded GC");
                 let want = replica.view(view).expect("replica view");
                 prop_assert_eq!(

@@ -1,6 +1,6 @@
-//! Count-based complexity guard for the persistent tree tier: a write into
-//! a bag that a clone still shares copies the root-to-leaf paths it
-//! touches and nothing else.
+//! Count-based complexity guard for the persistent tree under every `Bag`:
+//! a write into a bag that a clone still shares copies the root-to-leaf
+//! paths it touches and nothing else — at every bag size, from one leaf up.
 //!
 //! The registry counters `data.tree.nodes_copied` / `data.tree.keys_copied`
 //! are process-wide, so this file holds exactly one test: nothing else in
@@ -14,6 +14,21 @@ use nrc_data::{Bag, Value};
 const MAX_FANOUT: u64 = 64;
 const KEYS: usize = 20_000;
 const DELTA: usize = 64;
+/// Bag sizes from one leaf to three levels.
+const SMALL_SIZES: [usize; 5] = [16, 64, 256, 512, 1_024];
+/// A bulk build packs `FANOUT - 1` entries per leaf and children per
+/// branch (`pack` in `nrc_data`'s `livemap`, `FANOUT = 32`).
+const PACKED: usize = 31;
+
+/// Height of a tree that a bulk build packs from `n` keys.
+fn packed_height(mut n: usize) -> u64 {
+    let mut height = 1;
+    while n > PACKED {
+        n = n.div_ceil(PACKED);
+        height += 1;
+    }
+    height
+}
 
 /// Zero-padded, so that key order is numeric order.
 fn key(n: usize) -> Value {
@@ -41,7 +56,6 @@ fn a_write_under_a_clone_copies_its_paths_not_the_map() {
 
     let run = || {
         let mut bag = build();
-        assert!(!bag.is_small_tier());
         // Nothing shares the bag: nothing is copied.
         let unshared = copied(|| bag.union_assign(&delta));
         bag.union_assign(&delta.negate());
@@ -78,4 +92,22 @@ fn a_write_under_a_clone_copies_its_paths_not_the_map() {
     assert!(keys < KEYS as u64 / 2, "{keys} keys copied out of {KEYS}");
     // Counts, not times: a second run gives the same numbers.
     assert_eq!(run(), (unshared, path, batch));
+
+    // Small bags pay the same way: one fresh key under a clone copies one
+    // path, whose node count is the height, and never the whole bag.
+    for size in SMALL_SIZES {
+        let small_key = |n: usize| Value::str(format!("tree-copy-guard-{size:04}-{n:06}"));
+        let mut bag = Bag::from_values((0..size).map(|i| small_key(2 * i)));
+        let fresh = Bag::from_values([small_key(size + 1)]);
+        let held = bag.clone();
+        let (nodes, keys) = copied(|| bag.union_assign(&fresh));
+        drop(held);
+        let height = packed_height(size);
+        assert_eq!(nodes, height, "{size} keys: {nodes} nodes copied");
+        assert!(
+            keys <= height * MAX_FANOUT,
+            "{size} keys: {keys} keys copied"
+        );
+        assert_eq!(bag.distinct_count(), size + 1);
+    }
 }
