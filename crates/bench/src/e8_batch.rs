@@ -1,18 +1,15 @@
-//! E8 — batched parallel maintenance: per-update refresh vs. coalesced
-//! batches vs. coalesced batches with parallel per-view refresh.
+//! E8 — batched maintenance: per-update refresh vs. coalesced batches.
 //!
 //! The deltas of the paper are *additive* (Prop. 4.1): refreshing a view
 //! once with `u₁ ⊎ … ⊎ uₖ` yields the same state as `k` per-update
-//! refreshes while evaluating every delta query once. On top of that,
-//! registered views are mutually independent, so a batch's per-view
-//! refreshes fan out across workers. This experiment measures both effects
-//! on the high-volume streaming workload (`nrc_workloads::stream`) for all
-//! four maintenance strategies.
+//! refreshes while evaluating every delta query once. This experiment
+//! measures that effect on the high-volume streaming workload
+//! (`nrc_workloads::stream`) for all four maintenance strategies.
 
 use crate::report::{fmt_us, Table};
 use nrc_core::builder::{cmp_lit, filter_query, related_query};
 use nrc_core::expr::CmpOp;
-use nrc_engine::{IvmSystem, Parallelism, Strategy, UpdateBatch};
+use nrc_engine::{IvmSystem, Strategy, UpdateBatch};
 use nrc_workloads::{StreamConfig, StreamGen};
 
 /// How a stream of update batches is ingested.
@@ -20,10 +17,8 @@ use nrc_workloads::{StreamConfig, StreamGen};
 pub enum Mode {
     /// One `apply_update` per raw update.
     Single,
-    /// One `apply_batch` per batch, sequential view refresh.
+    /// One `apply_batch` per batch.
     Batched,
-    /// One `apply_batch` per batch, parallel view refresh.
-    BatchedParallel,
 }
 
 /// Sweep parameters: `(initial cardinality, batches, batch size)`.
@@ -73,10 +68,6 @@ pub fn setup_with(
 
 /// Ingest `batches` under `mode`, returning mean µs per *raw update*.
 pub fn ingest(sys: &mut IvmSystem, batches: &[Vec<(String, nrc_data::Bag)>], mode: Mode) -> f64 {
-    sys.set_parallelism(match mode {
-        Mode::BatchedParallel => Parallelism::Rayon,
-        _ => Parallelism::Sequential,
-    });
     let raw: usize = batches.iter().map(Vec::len).sum();
     let (_, us) = crate::time_us(|| {
         for batch in batches {
@@ -86,7 +77,7 @@ pub fn ingest(sys: &mut IvmSystem, batches: &[Vec<(String, nrc_data::Bag)>], mod
                         sys.apply_update(rel, delta).expect("update");
                     }
                 }
-                Mode::Batched | Mode::BatchedParallel => {
+                Mode::Batched => {
                     let b = UpdateBatch::from_updates(batch.iter().cloned());
                     sys.apply_batch(&b).expect("batch");
                 }
@@ -102,15 +93,14 @@ pub fn run(quick: bool) -> Table {
     let mut t = Table::new(
         "E8",
         format!(
-            "batched parallel maintenance: {VIEWS_PER_STRATEGY} views, \
+            "batched maintenance: {VIEWS_PER_STRATEGY} views, \
              {nbatches} batches × {batch_size} updates over n={n}"
         ),
         &[
             "strategy",
             "single / upd",
             "batched / upd",
-            "batched+par / upd",
-            "speed-up (par vs single)",
+            "speed-up (batched vs single)",
         ],
     );
     let strategies = [
@@ -122,11 +112,8 @@ pub fn run(quick: bool) -> Table {
     let mut best: Option<f64> = None;
     for (name, strategy) in strategies {
         // Identical streams per mode: same seed, fresh generator each.
-        let mut per_mode = [0f64; 3];
-        for (slot, mode) in [Mode::Single, Mode::Batched, Mode::BatchedParallel]
-            .into_iter()
-            .enumerate()
-        {
+        let mut per_mode = [0f64; 2];
+        for (slot, mode) in [Mode::Single, Mode::Batched].into_iter().enumerate() {
             let cfg = StreamConfig {
                 batch_size,
                 ..StreamConfig::default()
@@ -135,21 +122,19 @@ pub fn run(quick: bool) -> Table {
             let batches = gen.batches(nbatches);
             per_mode[slot] = ingest(&mut sys, &batches, mode);
         }
-        let speedup = per_mode[0] / per_mode[2].max(1e-9);
+        let speedup = per_mode[0] / per_mode[1].max(1e-9);
         best = Some(best.map_or(speedup, |b: f64| b.max(speedup)));
         t.row(vec![
             name.to_string(),
             fmt_us(per_mode[0]),
             fmt_us(per_mode[1]),
-            fmt_us(per_mode[2]),
             format!("{speedup:.1}×"),
         ]);
     }
     if let Some(b) = best {
         t.note(format!(
             "coalescing evaluates each delta query once per batch instead of once per \
-             update; parallel refresh spreads the {VIEWS_PER_STRATEGY} views across \
-             workers (best combined speed-up {b:.1}×)"
+             update (best speed-up {b:.1}×)"
         ));
     }
     t
@@ -175,8 +160,6 @@ mod tests {
             ingest(&mut single, &make_batches(), Mode::Single);
             let (mut batched, _) = setup(40, strategy, 9);
             ingest(&mut batched, &make_batches(), Mode::Batched);
-            let (mut parallel, _) = setup(40, strategy, 9);
-            ingest(&mut parallel, &make_batches(), Mode::BatchedParallel);
             let names: Vec<String> = single.view_names().cloned().collect();
             for name in &names {
                 let expected = single.view(name).unwrap();
@@ -185,13 +168,8 @@ mod tests {
                     expected,
                     "{strategy:?}/{name} batched"
                 );
-                assert_eq!(
-                    parallel.view(name).unwrap(),
-                    expected,
-                    "{strategy:?}/{name} parallel"
-                );
             }
-            assert!(parallel.batch_stats().batches_applied > 0);
+            assert!(batched.batch_stats().batches_applied > 0);
         }
     }
 

@@ -17,7 +17,7 @@
 //! | E5 | §5: shredded IVM supports deep updates to inner bags |
 //! | E6 | Thm. 9: NC⁰ refresh vs non-NC⁰ re-evaluation circuits |
 //! | E7 | Thm. 2: the delta tower has exactly deg(h) input-dependent levels |
-//! | E8 | Prop. 4.1 additivity: coalesced batches + parallel per-view refresh |
+//! | E8 | Prop. 4.1 additivity: coalesced batches vs per-update refresh |
 //! | E14 | Planner ablation: the §4.2 cost model's pick vs every hand-picked strategy |
 
 pub mod e14_planner;

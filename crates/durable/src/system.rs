@@ -1050,10 +1050,9 @@ impl DurableSystem {
         }
     }
 
-    /// Pass-through: view refresh execution mode.
-    pub fn set_parallelism(&mut self, mode: Parallelism) {
-        self.serve.set_parallelism(mode);
-    }
+    /// Does nothing: views always refresh sequentially. Kept only until
+    /// the benchmark package drops its calls (ROADMAP item 1).
+    pub fn set_parallelism(&mut self, _mode: Parallelism) {}
 
     /// Pass-through: engine reclamation pacing.
     pub fn set_collect_policy(&mut self, policy: CollectPolicy) {

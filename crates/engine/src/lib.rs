@@ -7,7 +7,8 @@
 //!
 //! * [`Strategy::Reevaluate`] — the baseline: recompute on every update,
 //! * [`Strategy::FirstOrder`] — classical IVM: materialize `h[R]`, refresh
-//!   with `δ(h)[R, ΔR]` (Prop. 4.1),
+//!   with `δ(h)[R, ΔR]` (Prop. 4.1); this is recursive IVM that hoists
+//!   nothing,
 //! * [`Strategy::Recursive`] — recursive IVM (§4.1): additionally
 //!   materialize the input-dependent, update-independent subexpressions of
 //!   each delta (the paper's partial evaluation, e.g. `flatten(R)` in
@@ -20,12 +21,11 @@
 //! Updates arrive either one at a time ([`IvmSystem::apply_update`]) or as
 //! an [`UpdateBatch`] ([`IvmSystem::apply_batch`]): many raw updates
 //! coalesced per relation by `⊎` before any view work — sound because
-//! deltas are additive (Prop. 4.1) — with every registered view refreshed
-//! on its own worker under [`Parallelism::Rayon`]. Batch-path counters are
-//! exposed as [`BatchStats`], including the intern-arena occupancy
-//! ([`ArenaStats`]) that the configured [`CollectPolicy`] bounds by
-//! collecting the value arena (and orphaned shredded-store dictionary
-//! definitions) between batches.
+//! deltas are additive (Prop. 4.1) — and every registered view refreshed
+//! once per segment. Batch-path counters are exposed as [`BatchStats`],
+//! including the intern-arena occupancy ([`ArenaStats`]) that the
+//! configured [`CollectPolicy`] bounds by collecting the value arena (and
+//! orphaned shredded-store dictionary definitions) between batches.
 //!
 //! Entry point: [`IvmSystem`]. The full data-flow walkthrough lives in the
 //! repository's `docs/ARCHITECTURE.md`.

@@ -9,6 +9,10 @@
 //! its own delta. By Thm. 2 each auxiliary query has strictly smaller
 //! degree, so the recursion bottoms out — after at most `deg(h)` levels all
 //! remaining deltas are pure functions of the updates.
+//!
+//! Classical first-order IVM is the same view with nothing hoisted
+//! ([`RecursiveView::first_order`]): `h[R ⊎ ΔR] = h[R] ⊎ δ_R(h)[R, ΔR]`
+//! with one derived delta per relation the query depends on.
 
 use crate::error::EngineError;
 use crate::stats::ViewStats;
@@ -18,7 +22,6 @@ use nrc_core::optimize::simplify;
 use nrc_core::typecheck::{typecheck, TypeEnv};
 use nrc_core::Expr;
 use nrc_data::{Bag, Database, Type, Value};
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 
 /// A recursively maintained view: the query's materialization plus, per
@@ -57,10 +60,27 @@ impl RecursiveView {
     /// Build the view, derive and partially evaluate its deltas, and
     /// materialize all auxiliary views.
     pub fn new(query: Expr, db: &Database) -> Result<RecursiveView, EngineError> {
-        Self::build(query, db, &mut 0)
+        Self::build(query, db, Some(&mut 0))
     }
 
-    fn build(query: Expr, db: &Database, counter: &mut u32) -> Result<RecursiveView, EngineError> {
+    /// Classical first-order IVM: the same view with nothing hoisted. Each
+    /// relation's delta is `δ_R(h)` itself, evaluated against the old
+    /// database on every update (Prop. 4.1), and no auxiliary view is
+    /// materialized.
+    ///
+    /// Fails with [`EngineError::Delta`] if the query is outside IncNRC⁺
+    /// (an input-dependent `sng` has no delta rule — register it under
+    /// [`crate::Strategy::Shredded`] instead).
+    pub fn first_order(query: Expr, db: &Database) -> Result<RecursiveView, EngineError> {
+        Self::build(query, db, None)
+    }
+
+    /// `counter` numbers the auxiliary views; `None` hoists nothing.
+    fn build(
+        query: Expr,
+        db: &Database,
+        mut counter: Option<&mut u32>,
+    ) -> Result<RecursiveView, EngineError> {
         let ty = typecheck(&query, db)?;
         let elem_ty = match ty {
             Type::Bag(t) => *t,
@@ -76,15 +96,18 @@ impl RecursiveView {
         let mut aux_exprs: BTreeMap<Expr, String> = BTreeMap::new();
         for rel in query.free_relations() {
             let d = simplify(&delta_wrt_rel(&query, &rel, &tenv)?, &tenv)?;
-            let hoisted = hoist(&d, &rel, &mut aux_exprs, counter);
-            deltas.insert(rel, hoisted);
+            let d = match counter.as_deref_mut() {
+                Some(counter) => hoist(&d, &rel, &mut aux_exprs, counter),
+                None => d,
+            };
+            deltas.insert(rel, d);
         }
         // Materialize the hoisted subexpressions, each as its own
         // recursively maintained view (their degrees are strictly smaller —
         // Thm. 2 — so this terminates).
         let mut auxes = Vec::with_capacity(aux_exprs.len());
         for (expr, name) in aux_exprs {
-            let view = RecursiveView::build(expr, db, counter)?;
+            let view = RecursiveView::build(expr, db, counter.as_deref_mut())?;
             auxes.push(Aux { name, view });
         }
         let mut env = Env::new(db);
@@ -109,83 +132,31 @@ impl RecursiveView {
     /// Apply an update `ΔR` to relation `rel` against the pre-update
     /// database: refresh this view using the *old* auxiliary
     /// materializations, then refresh the auxiliaries themselves.
+    ///
+    /// The update may be a single raw update or a whole batch coalesced
+    /// by `⊎` ([`crate::UpdateBatch`]): additivity of deltas (Prop. 4.1)
+    /// makes the refresh identical either way.
     pub fn apply(
         &mut self,
         db_before: &Database,
         rel: &str,
         delta: &Bag,
     ) -> Result<(), EngineError> {
-        self.apply_with(db_before, rel, delta, false)
-    }
-
-    /// [`RecursiveView::apply`] with an execution-mode switch: when
-    /// `parallel` is set, the view's own delta evaluation and the refreshes
-    /// of its auxiliary materializations run concurrently. This is sound
-    /// because the delta references the auxiliaries' *pre-update* results
-    /// (snapshotted up front — cheap, the bags are copy-on-write) while each
-    /// auxiliary refresh mutates only its own hierarchy.
-    pub fn apply_with(
-        &mut self,
-        db_before: &Database,
-        rel: &str,
-        delta: &Bag,
-        parallel: bool,
-    ) -> Result<(), EngineError> {
-        if parallel && !self.auxes.is_empty() {
-            let snapshot: Vec<(String, Bag)> = self
-                .auxes
-                .iter()
-                .map(|a| (a.name.clone(), a.view.result.clone()))
-                .collect();
-            let delta_expr = self.deltas.get(rel);
-            let auxes = &mut self.auxes;
-            let (main_res, aux_res) = rayon::join(
-                || -> Result<Option<(Bag, u64)>, EngineError> {
-                    let Some(d) = delta_expr else { return Ok(None) };
-                    let mut env = Env::new(db_before).with_delta(rel, delta.clone());
-                    for (name, result) in &snapshot {
-                        env.bind_let(name.clone(), Value::Bag(result.clone()));
-                    }
-                    let change = eval_query(d, &mut env)?;
-                    Ok(Some((change, env.steps)))
-                },
-                || -> Result<(), EngineError> {
-                    let results: Vec<Result<(), EngineError>> = auxes
-                        .par_iter_mut()
-                        .map(|aux| aux.view.apply_with(db_before, rel, delta, true))
-                        .collect();
-                    results.into_iter().collect()
-                },
-            );
-            // Error precedence mirrors the sequential path: the view's own
-            // delta evaluation reports first.
-            let main = main_res?;
-            aux_res?;
-            if let Some((change, steps)) = main {
-                self.stats.refresh_steps += steps;
-                self.stats.last_delta_card = change.cardinality();
-                if let Some(captured) = self.captured_delta.as_mut() {
-                    captured.union_assign(&change);
-                }
-                self.result.union_assign(&change);
+        if let Some(d) = self.deltas.get(rel) {
+            let mut env = Env::new(db_before).with_delta(rel, delta.clone());
+            for aux in &self.auxes {
+                env.bind_let(aux.name.clone(), Value::Bag(aux.view.result.clone()));
             }
-        } else {
-            if let Some(d) = self.deltas.get(rel) {
-                let mut env = Env::new(db_before).with_delta(rel, delta.clone());
-                for aux in &self.auxes {
-                    env.bind_let(aux.name.clone(), Value::Bag(aux.view.result.clone()));
-                }
-                let change = eval_query(d, &mut env)?;
-                self.stats.refresh_steps += env.steps;
-                self.stats.last_delta_card = change.cardinality();
-                if let Some(captured) = self.captured_delta.as_mut() {
-                    captured.union_assign(&change);
-                }
-                self.result.union_assign(&change);
+            let change = eval_query(d, &mut env)?;
+            self.stats.refresh_steps += env.steps;
+            self.stats.last_delta_card = change.cardinality();
+            if let Some(captured) = self.captured_delta.as_mut() {
+                captured.union_assign(&change);
             }
-            for aux in &mut self.auxes {
-                aux.view.apply_with(db_before, rel, delta, parallel)?;
-            }
+            self.result.union_assign(&change);
+        }
+        for aux in &mut self.auxes {
+            aux.view.apply(db_before, rel, delta)?;
         }
         self.stats.updates_applied += 1;
         Ok(())
@@ -298,6 +269,8 @@ mod tests {
     use super::*;
     use crate::view::ReevalView;
     use nrc_core::builder::*;
+    use nrc_core::expr::CmpOp;
+    use nrc_data::database::{example_movies, example_movies_update};
     use nrc_data::BaseType;
 
     fn nested_db() -> Database {
@@ -417,5 +390,57 @@ mod tests {
         db.apply_update("S", &ds).unwrap();
         let expected = ReevalView::new(q, &db).unwrap();
         assert_eq!(v.result, expected.result);
+    }
+
+    #[test]
+    fn first_order_matches_reevaluation() {
+        let db = example_movies();
+        let q = pair(rel("M"), rel("M"));
+        let mut v = RecursiveView::first_order(q.clone(), &db).unwrap();
+        let delta = example_movies_update();
+        v.apply(&db, "M", &delta).unwrap();
+        let mut db2 = db.clone();
+        db2.apply_update("M", &delta).unwrap();
+        let expected = ReevalView::new(q, &db2).unwrap();
+        assert_eq!(v.result, expected.result);
+        assert_eq!(v.stats.updates_applied, 1);
+        assert!(v.stats.last_delta_card > 0);
+    }
+
+    #[test]
+    fn first_order_rejects_non_inc_queries() {
+        let db = example_movies();
+        let err = RecursiveView::first_order(related_query(), &db).unwrap_err();
+        assert!(matches!(err, EngineError::Delta(_)));
+    }
+
+    #[test]
+    fn first_order_handles_deletions() {
+        let db = example_movies();
+        let q = filter_query("M", cmp_lit("x", vec![1], CmpOp::Eq, "Action"));
+        let mut v = RecursiveView::first_order(q.clone(), &db).unwrap();
+        // Delete Skyfall.
+        let delta = Bag::from_pairs([(
+            Value::Tuple(vec![
+                Value::str("Skyfall"),
+                Value::str("Action"),
+                Value::str("Mendes"),
+            ]),
+            -1,
+        )]);
+        v.apply(&db, "M", &delta).unwrap();
+        assert_eq!(v.result.cardinality(), 1);
+    }
+
+    #[test]
+    fn updates_to_unrelated_relations_are_noops() {
+        let mut db = example_movies();
+        db.declare("Other", Type::Base(BaseType::Int));
+        let q = filter_query("M", cmp_lit("x", vec![1], CmpOp::Eq, "Drama"));
+        let mut v = RecursiveView::first_order(q, &db).unwrap();
+        let before = v.result.clone();
+        v.apply(&db, "Other", &Bag::from_values([Value::int(1)]))
+            .unwrap();
+        assert_eq!(v.result, before);
     }
 }

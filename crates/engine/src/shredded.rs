@@ -426,21 +426,6 @@ impl ShreddedView {
         rel: &str,
         upd: &ShreddedUpdate,
     ) -> Result<(), EngineError> {
-        self.apply_with(db, store_before, rel, upd, false)
-    }
-
-    /// [`ShreddedView::apply`] with an execution-mode switch: when
-    /// `parallel` is set, the flat-component refresh and the
-    /// context-dictionary delta resolution of each phase run concurrently
-    /// (they are independent — both read only the pre-update store).
-    pub fn apply_with(
-        &mut self,
-        db: &Database,
-        store_before: &ShreddedStore,
-        rel: &str,
-        upd: &ShreddedUpdate,
-        parallel: bool,
-    ) -> Result<(), EngineError> {
         // Phase A: the context component ΔR__G first, so that definitions of
         // labels the flat component is about to introduce are in place
         // before the flat refresh requests them.
@@ -452,7 +437,6 @@ impl ShreddedView {
                 &ctx_name(rel),
                 &delta_ctx_name(rel),
                 DeltaBinding::Ctx(&upd.ctx),
-                parallel,
             )?;
         }
         // Phase B: the flat component ΔR__F, against the store with the
@@ -472,7 +456,6 @@ impl ShreddedView {
                 &flat_name(rel),
                 &delta_flat_name(rel),
                 DeltaBinding::Flat(&upd.flat),
-                parallel,
             )?;
         }
         self.stats.updates_applied += 1;
@@ -487,51 +470,31 @@ impl ShreddedView {
         var: &str,
         dvar: &str,
         binding: DeltaBinding<'_>,
-        parallel: bool,
     ) -> Result<(), EngineError> {
         // Pre-update environment with the update bound: what both deltas
         // are evaluated against.
-        let bind_update = |env: &mut Env<'_>| -> Result<(), EngineError> {
-            match &binding {
-                DeltaBinding::Flat(b) => env.bind_let(dvar.to_owned(), Value::Bag((*b).clone())),
-                DeltaBinding::Ctx(c) => env.bind_ctx(dvar.to_owned(), CtxVal::from_value(c)?),
-            }
-            Ok(())
-        };
         let mut env_delta = Env::new(db);
         store.bind_env(&mut env_delta)?;
-        bind_update(&mut env_delta)?;
+        match &binding {
+            DeltaBinding::Flat(b) => env_delta.bind_let(dvar.to_owned(), Value::Bag((*b).clone())),
+            DeltaBinding::Ctx(c) => env_delta.bind_ctx(dvar.to_owned(), CtxVal::from_value(c)?),
+        }
 
-        let flat_delta = self.flat_deltas.get(var);
-        let ctx_delta = self.ctx_deltas.get(var);
+        // 1 + 2. Flat delta and context-delta resolution, both against the
+        // same immutable pre-update state.
         let obs = nrc_obs::enabled();
-        let eval_flat =
-            |env: &mut Env<'_>| timed(obs, || flat_delta.map(|d| eval_query(d, env)).transpose());
-        let resolve_delta =
-            |env: &mut Env<'_>| timed(obs, || ctx_delta.map(|d| resolve_ctx(d, env)).transpose());
-
-        // 1 + 2. Flat delta and context-delta resolution. The two read the
-        // same immutable pre-update state, so when both are non-trivial
-        // they can run on separate workers, each with its own (cheap,
-        // copy-on-write) environment.
-        let ((flat_change, flat_ns), (delta_ctx, delta_ns)) =
-            if parallel && flat_delta.is_some() && ctx_delta.is_some() {
-                let env_ctx = &mut env_delta;
-                let (flat_res, ctx_res) = rayon::join(
-                    || -> Result<_, EngineError> {
-                        let mut env_flat = Env::new(db);
-                        store.bind_env(&mut env_flat)?;
-                        bind_update(&mut env_flat)?;
-                        Ok((eval_flat(&mut env_flat), env_flat.steps))
-                    },
-                    || resolve_delta(env_ctx),
-                );
-                let (flat_res, flat_steps) = flat_res?;
-                env_delta.steps += flat_steps;
-                (flat_res, ctx_res)
-            } else {
-                (eval_flat(&mut env_delta), resolve_delta(&mut env_delta))
-            };
+        let (flat_change, flat_ns) = timed(obs, || {
+            self.flat_deltas
+                .get(var)
+                .map(|d| eval_query(d, &mut env_delta))
+                .transpose()
+        });
+        let (delta_ctx, delta_ns) = timed(obs, || {
+            self.ctx_deltas
+                .get(var)
+                .map(|d| resolve_ctx(d, &mut env_delta))
+                .transpose()
+        });
         let flat_change = flat_change?;
         if let Some(change) = &flat_change {
             self.stats.last_delta_card = change.cardinality();

@@ -10,20 +10,19 @@
 //! * [`IvmSystem::apply_update`] — one update at a time;
 //! * [`IvmSystem::apply_batch`] — an [`UpdateBatch`] of many updates,
 //!   coalesced per relation by `⊎` *before* any view work (sound by the
-//!   additivity of deltas, Prop. 4.1), with every registered view refreshed
-//!   on its own worker when [`Parallelism::Rayon`] is selected.
+//!   additivity of deltas, Prop. 4.1), refreshing every registered view
+//!   once per segment.
 
 use crate::error::EngineError;
 use crate::recursive::RecursiveView;
 use crate::shredded::{ShreddedStore, ShreddedUpdate, ShreddedView};
 use crate::stats::{BatchStats, ViewStats};
-use crate::view::{FirstOrderView, ReevalView};
+use crate::view::ReevalView;
 use nrc_core::delta::coalesce_updates;
 use nrc_core::shred::nest_value;
 use nrc_core::typecheck::is_flat_type;
 use nrc_core::Expr;
 use nrc_data::{intern, Bag, Database, Label, Value};
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -32,7 +31,8 @@ use std::time::Instant;
 pub enum Strategy {
     /// Recompute from scratch on every update (baseline).
     Reevaluate,
-    /// Classical first-order IVM (Prop. 4.1). IncNRC⁺ only.
+    /// Classical first-order IVM (Prop. 4.1): recursive IVM that hoists
+    /// nothing. IncNRC⁺ only.
     FirstOrder,
     /// Recursive IVM (§4.1): materialize the input-dependent parts of each
     /// delta. IncNRC⁺ only.
@@ -43,8 +43,9 @@ pub enum Strategy {
 
 enum ViewKind {
     Reeval(Box<ReevalView>),
-    FirstOrder(Box<FirstOrderView>),
-    Recursive(Box<RecursiveView>),
+    /// First-order and recursive views: one refresh, with or without
+    /// hoisted auxiliary views.
+    Incremental(Box<RecursiveView>),
     Shredded(Box<ShreddedView>),
 }
 
@@ -122,17 +123,15 @@ impl CollectPolicy {
     }
 }
 
-/// How view refreshes are executed.
+/// How view refreshes are executed. Views always refresh one after
+/// another on the calling thread; this one-variant type and the
+/// `set_parallelism` methods that take it are kept only until the
+/// benchmark package stops calling them (ROADMAP item 1).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Parallelism {
     /// Refresh views one after another on the calling thread.
-    Sequential,
-    /// Refresh each registered view on its own worker (and, within the
-    /// shredded and recursive strategies, split independent sub-refreshes
-    /// too). Results are bit-identical to sequential execution — views are
-    /// independent and each refresh only reads shared pre-update state.
     #[default]
-    Rayon,
+    Sequential,
 }
 
 /// A batch of updates, coalesced per relation by `⊎` before any view work.
@@ -307,8 +306,6 @@ pub struct IvmSystem {
     /// Relations whose nested mirror in `db` is stale (shredded updates are
     /// applied to the store; the nested form is reconstructed lazily).
     stale: std::collections::BTreeSet<String>,
-    /// Execution mode for batched view refresh.
-    parallelism: Parallelism,
     /// Memory-reclamation cadence for the batch path.
     collect_policy: CollectPolicy,
     /// EWMA of dying-slot production between bounded increments, for
@@ -338,7 +335,6 @@ impl IvmSystem {
             store: None,
             views: BTreeMap::new(),
             stale: Default::default(),
-            parallelism: Parallelism::default(),
             collect_policy: CollectPolicy::default(),
             auto_bounded_ewma: None,
             bounded_pending_baseline: 0,
@@ -349,10 +345,9 @@ impl IvmSystem {
         }
     }
 
-    /// Select how [`IvmSystem::apply_batch`] executes view refreshes.
-    pub fn set_parallelism(&mut self, mode: Parallelism) {
-        self.parallelism = mode;
-    }
+    /// Does nothing: views always refresh sequentially. Kept only until
+    /// the benchmark package drops its calls (ROADMAP item 1).
+    pub fn set_parallelism(&mut self, _mode: Parallelism) {}
 
     /// Select when [`IvmSystem::apply_batch`] reclaims memory. Switching
     /// policies re-seeds the auto-sized budget (if the new policy uses one)
@@ -442,8 +437,7 @@ impl IvmSystem {
         match self.views.get(name) {
             None => Err(EngineError::UnknownView(name.to_owned())),
             Some(ViewKind::Reeval(v)) => Ok(ViewStateSnapshot::Nested(v.result.clone())),
-            Some(ViewKind::FirstOrder(v)) => Ok(ViewStateSnapshot::Nested(v.result.clone())),
-            Some(ViewKind::Recursive(v)) => Ok(ViewStateSnapshot::Nested(v.result.clone())),
+            Some(ViewKind::Incremental(v)) => Ok(ViewStateSnapshot::Nested(v.result.clone())),
             Some(ViewKind::Shredded(v)) => Ok(ViewStateSnapshot::Shredded {
                 flat: v.flat_result.clone(),
                 ctx: v.ctx_result.clone(),
@@ -468,10 +462,7 @@ impl IvmSystem {
                             .insert(name.clone(), CaptureBase::Nested(v.result.clone()));
                     }
                 }
-                ViewKind::FirstOrder(v) => {
-                    v.captured_delta = armed.then(Bag::empty);
-                }
-                ViewKind::Recursive(v) => {
+                ViewKind::Incremental(v) => {
                     v.captured_delta = armed.then(Bag::empty);
                 }
                 ViewKind::Shredded(v) => {
@@ -508,8 +499,7 @@ impl IvmSystem {
                     Some(CaptureBase::Nested(before)) => before.delta_to(&v.result),
                     _ => Bag::empty(),
                 },
-                ViewKind::FirstOrder(v) => v.captured_delta.take().unwrap_or_default(),
-                ViewKind::Recursive(v) => v.captured_delta.take().unwrap_or_default(),
+                ViewKind::Incremental(v) => v.captured_delta.take().unwrap_or_default(),
                 ViewKind::Shredded(v) => {
                     let diffed = match pre.get(name) {
                         Some(CaptureBase::Shredded { flat, ctx }) => {
@@ -539,10 +529,8 @@ impl IvmSystem {
     fn clear_delta_capture(&mut self) {
         self.capture_pre.clear();
         for kind in self.views.values_mut() {
-            match kind {
-                ViewKind::FirstOrder(v) => v.captured_delta = None,
-                ViewKind::Recursive(v) => v.captured_delta = None,
-                ViewKind::Reeval(_) | ViewKind::Shredded(_) => {}
+            if let ViewKind::Incremental(v) = kind {
+                v.captured_delta = None;
             }
         }
     }
@@ -598,10 +586,10 @@ impl IvmSystem {
         let kind = match strategy {
             Strategy::Reevaluate => ViewKind::Reeval(Box::new(ReevalView::new(query, &self.db)?)),
             Strategy::FirstOrder => {
-                ViewKind::FirstOrder(Box::new(FirstOrderView::new(query, &self.db)?))
+                ViewKind::Incremental(Box::new(RecursiveView::first_order(query, &self.db)?))
             }
             Strategy::Recursive => {
-                ViewKind::Recursive(Box::new(RecursiveView::new(query, &self.db)?))
+                ViewKind::Incremental(Box::new(RecursiveView::new(query, &self.db)?))
             }
             Strategy::Shredded => {
                 self.ensure_store()?;
@@ -620,14 +608,66 @@ impl IvmSystem {
     /// resolved against existing flat tuples (labels must match for
     /// cancellation) — see [`EngineError::UnmatchedDeletion`].
     pub fn apply_update(&mut self, rel: &str, delta: &Bag) -> Result<(), EngineError> {
-        self.apply_update_with(rel, delta, false)
+        // Pin the reclamation epoch for the whole refresh cycle: another
+        // system collecting on a sibling thread can then never reclaim a
+        // transient id this refresh still resolves.
+        let _pin = intern::pin();
+        if self.db.get(rel).is_none() {
+            return Err(EngineError::UnknownRelation(rel.to_owned()));
+        }
+        if self.stale.contains(rel) {
+            self.sync_database()?;
+        }
+        // Build the shredded form of the update first (if shredded state
+        // exists), since it needs the *old* store.
+        let shredded_update = match &mut self.store {
+            Some(_) => Some(self.shred_update(rel, delta)?),
+            None => None,
+        };
+        // Incremental views refresh against the *old* state (Prop. 4.1), so
+        // run them before mutating anything. Avoiding database snapshots
+        // here keeps the subsequent in-place `⊎` at O(|Δ| log n) thanks to
+        // the copy-on-write data structures. Per-view refresh timing costs
+        // two clock reads per view when instrumentation is on, nothing when
+        // off.
+        let obs_on = nrc_obs::enabled();
+        for kind in self.views.values_mut() {
+            let t = obs_on.then(Instant::now);
+            let result = match kind {
+                ViewKind::Reeval(_) => continue,
+                ViewKind::Incremental(v) => v.apply(&self.db, rel, delta),
+                ViewKind::Shredded(v) => {
+                    let upd = shredded_update.as_ref().expect("store exists");
+                    let store = self.store.as_ref().expect("store exists");
+                    v.apply(&self.db, store, rel, upd)
+                }
+            };
+            if let Some(t) = t {
+                record_view_refresh(kind, t.elapsed().as_nanos() as u64);
+            }
+            result?;
+        }
+        if let (Some(store), Some(upd)) = (&mut self.store, &shredded_update) {
+            store.apply(rel, upd)?;
+        }
+        self.db.apply_update(rel, delta)?;
+        // Re-evaluation baselines read the *new* state.
+        for kind in self.views.values_mut() {
+            let ViewKind::Reeval(v) = kind else { continue };
+            let t = obs_on.then(Instant::now);
+            let result = v.refresh(&self.db);
+            if let Some(t) = t {
+                record_view_refresh(kind, t.elapsed().as_nanos() as u64);
+            }
+            result?;
+        }
+        Ok(())
     }
 
     /// Apply a coalesced batch of updates: each per-relation segment is
     /// applied in order, refreshing every registered view once per segment
-    /// (instead of once per raw update). Under [`Parallelism::Rayon`] the
-    /// per-view refreshes of a segment run concurrently; results are
-    /// bit-identical to sequential per-update application.
+    /// (instead of once per raw update); results are bit-identical to
+    /// sequential per-update application.
     ///
     /// On error, segments already applied stay applied (the batch is not
     /// transactional); the returned error identifies the failing segment's
@@ -663,7 +703,6 @@ impl IvmSystem {
         if self.capture.enabled() {
             self.begin_delta_capture();
         }
-        let parallel = self.parallelism == Parallelism::Rayon;
         let mut segments = 0u64;
         let mut delta_card = 0u64;
         let mut outcome = Ok(());
@@ -674,7 +713,7 @@ impl IvmSystem {
                 continue;
             }
             let seg_start = obs_on.then(Instant::now);
-            if let Err(e) = self.apply_update_with(rel, delta, parallel) {
+            if let Err(e) = self.apply_update(rel, delta) {
                 // Earlier segments stay applied (documented); fall through so
                 // the stats below still account for the work performed.
                 outcome = Err(e);
@@ -857,91 +896,6 @@ impl IvmSystem {
         }
     }
 
-    /// The single-segment refresh cycle shared by [`IvmSystem::apply_update`]
-    /// and [`IvmSystem::apply_batch`].
-    fn apply_update_with(
-        &mut self,
-        rel: &str,
-        delta: &Bag,
-        parallel: bool,
-    ) -> Result<(), EngineError> {
-        // Pin the reclamation epoch for the whole refresh cycle: another
-        // system collecting on a sibling thread can then never reclaim a
-        // transient id this refresh still resolves.
-        let _pin = intern::pin();
-        if self.db.get(rel).is_none() {
-            return Err(EngineError::UnknownRelation(rel.to_owned()));
-        }
-        if self.stale.contains(rel) {
-            self.sync_database()?;
-        }
-        // Build the shredded form of the update first (if shredded state
-        // exists), since it needs the *old* store.
-        let shredded_update = match &mut self.store {
-            Some(_) => Some(self.shred_update(rel, delta)?),
-            None => None,
-        };
-        // Incremental views refresh against the *old* state (Prop. 4.1), so
-        // run them before mutating anything. Avoiding database snapshots
-        // here keeps the subsequent in-place `⊎` at O(|Δ| log n) thanks to
-        // the copy-on-write data structures. Views are mutually independent
-        // — each refresh reads only the shared pre-update state and writes
-        // only its own materialization — so they fan out across workers.
-        {
-            let db = &self.db;
-            let store = self.store.as_ref();
-            let shredded_update = shredded_update.as_ref();
-            // Per-view refresh timing: two clock reads per view when
-            // instrumentation is on, nothing when off. Safe from rayon
-            // workers — the histogram is lock-free and `refresh_nanos`
-            // lives in the view each worker exclusively holds; the
-            // flight-recorder trace is deliberately *not* touched here
-            // (it is single-writer, owned by the batch thread).
-            let obs_on = nrc_obs::enabled();
-            let refresh = |kind: &mut ViewKind| -> Result<(), EngineError> {
-                let t = obs_on.then(Instant::now);
-                let result = match kind {
-                    ViewKind::Reeval(_) => return Ok(()),
-                    ViewKind::FirstOrder(v) => v.apply(db, rel, delta),
-                    ViewKind::Recursive(v) => v.apply_with(db, rel, delta, parallel),
-                    ViewKind::Shredded(v) => {
-                        let upd = shredded_update.expect("store exists");
-                        let store = store.expect("store exists");
-                        v.apply_with(db, store, rel, upd, parallel)
-                    }
-                };
-                if let Some(t) = t {
-                    record_view_refresh(kind, t.elapsed().as_nanos() as u64);
-                }
-                result
-            };
-            run_over_views(&mut self.views, parallel, refresh)?;
-        }
-        if let (Some(store), Some(upd)) = (&mut self.store, &shredded_update) {
-            store.apply(rel, upd)?;
-        }
-        self.db.apply_update(rel, delta)?;
-        // Re-evaluation baselines read the *new* state.
-        {
-            let db = &self.db;
-            let obs_on = nrc_obs::enabled();
-            run_over_views(&mut self.views, parallel, |kind| match kind {
-                ViewKind::Reeval(v) => {
-                    let t = obs_on.then(Instant::now);
-                    let result = v.refresh(db);
-                    if let Some(t) = t {
-                        let ns = t.elapsed().as_nanos() as u64;
-                        v.stats.refresh_nanos += ns;
-                        view_refresh_hist().record(ns);
-                    }
-                    result
-                }
-                _ => Ok(()),
-            })?;
-        }
-        Ok(())
-    }
-
     /// Apply an already-shredded update (insertions, deletions by label,
     /// deep updates). Only affects shredded views and the shredded store;
     /// flat-world views of the same relation are refreshed from the nested
@@ -963,8 +917,7 @@ impl IvmSystem {
         for (name, kind) in &self.views {
             let depends = match kind {
                 ViewKind::Reeval(v) => v.query.depends_on_rel(rel),
-                ViewKind::FirstOrder(v) => v.query.depends_on_rel(rel),
-                ViewKind::Recursive(v) => v.query.depends_on_rel(rel),
+                ViewKind::Incremental(v) => v.query.depends_on_rel(rel),
                 ViewKind::Shredded(_) => false,
             };
             if depends {
@@ -1041,8 +994,7 @@ impl IvmSystem {
         match self.views.get(name) {
             None => Err(EngineError::UnknownView(name.to_owned())),
             Some(ViewKind::Reeval(v)) => Ok(v.result.clone()),
-            Some(ViewKind::FirstOrder(v)) => Ok(v.result.clone()),
-            Some(ViewKind::Recursive(v)) => Ok(v.result.clone()),
+            Some(ViewKind::Incremental(v)) => Ok(v.result.clone()),
             Some(ViewKind::Shredded(v)) => v.nested(),
         }
     }
@@ -1052,8 +1004,7 @@ impl IvmSystem {
         match self.views.get(name) {
             None => Err(EngineError::UnknownView(name.to_owned())),
             Some(ViewKind::Reeval(v)) => Ok(&v.stats),
-            Some(ViewKind::FirstOrder(v)) => Ok(&v.stats),
-            Some(ViewKind::Recursive(v)) => Ok(&v.stats),
+            Some(ViewKind::Incremental(v)) => Ok(&v.stats),
             Some(ViewKind::Shredded(v)) => Ok(&v.stats),
         }
     }
@@ -1104,31 +1055,10 @@ fn view_refresh_hist() -> &'static nrc_obs::Histogram {
 fn record_view_refresh(kind: &mut ViewKind, nanos: u64) {
     match kind {
         ViewKind::Reeval(v) => v.stats.refresh_nanos += nanos,
-        ViewKind::FirstOrder(v) => v.stats.refresh_nanos += nanos,
-        ViewKind::Recursive(v) => v.stats.refresh_nanos += nanos,
+        ViewKind::Incremental(v) => v.stats.refresh_nanos += nanos,
         ViewKind::Shredded(v) => v.stats.refresh_nanos += nanos,
     }
     view_refresh_hist().record(nanos);
-}
-
-/// Run `refresh` over every registered view, sequentially or fanned out
-/// across workers. Error reporting is deterministic either way: the first
-/// failing view in name order wins.
-fn run_over_views(
-    views: &mut BTreeMap<String, ViewKind>,
-    parallel: bool,
-    refresh: impl Fn(&mut ViewKind) -> Result<(), EngineError> + Sync,
-) -> Result<(), EngineError> {
-    if parallel && views.len() > 1 {
-        let targets: Vec<&mut ViewKind> = views.values_mut().collect();
-        let results: Vec<Result<(), EngineError>> = targets.into_par_iter().map(&refresh).collect();
-        results.into_iter().collect()
-    } else {
-        for kind in views.values_mut() {
-            refresh(kind)?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -1383,28 +1313,25 @@ mod batch_tests {
 
     #[test]
     fn batch_matches_sequential_across_strategies() {
-        for mode in [Parallelism::Sequential, Parallelism::Rayon] {
-            let mut batched = four_strategy_system();
-            batched.set_parallelism(mode);
-            let mut sequential = four_strategy_system();
+        let mut batched = four_strategy_system();
+        let mut sequential = four_strategy_system();
 
-            let mut batch = UpdateBatch::new();
-            for u in updates() {
-                batch.push("M", u);
-            }
-            batched.apply_batch(&batch).unwrap();
-            for u in updates() {
-                sequential.apply_update("M", &u).unwrap();
-            }
-            for view in ["re", "fo", "rc", "sh", "sh_re"] {
-                assert_eq!(
-                    batched.view(view).unwrap(),
-                    sequential.view(view).unwrap(),
-                    "{view} diverged under {mode:?}"
-                );
-            }
-            assert_eq!(batched.database(), sequential.database());
+        let mut batch = UpdateBatch::new();
+        for u in updates() {
+            batch.push("M", u);
         }
+        batched.apply_batch(&batch).unwrap();
+        for u in updates() {
+            sequential.apply_update("M", &u).unwrap();
+        }
+        for view in ["re", "fo", "rc", "sh", "sh_re"] {
+            assert_eq!(
+                batched.view(view).unwrap(),
+                sequential.view(view).unwrap(),
+                "{view} diverged"
+            );
+        }
+        assert_eq!(batched.database(), sequential.database());
     }
 
     #[test]
@@ -1786,5 +1713,127 @@ mod api_tests {
             .unwrap();
         sys.sync_database().unwrap();
         assert_eq!(sys.database().get("M").unwrap().cardinality(), 3);
+    }
+}
+
+/// Exact-count parity for first-order maintenance: a fixed update sequence
+/// through E2's `filter_p` over the movies and Ex. 4's
+/// `flatten(R) × flatten(R)`, with every view checked against the
+/// re-evaluation view `re` after every step. The literals pin what
+/// first-order IVM evaluates (no auxiliary materializations, one delta per
+/// relation); recursive IVM on Ex. 4 materializes exactly one auxiliary,
+/// `flatten(R)`.
+#[cfg(test)]
+mod first_order_parity {
+    use super::*;
+    use nrc_core::builder::*;
+    use nrc_core::expr::CmpOp;
+    use nrc_data::database::{example_movies, example_movies_update};
+    use nrc_data::{BaseType, Type};
+
+    /// `(eval_steps, refresh_steps, last_delta_card, materialized_aux)` of
+    /// the first-order view `fo`.
+    fn counts(sys: &IvmSystem) -> (u64, u64, u64, u64) {
+        let s = sys.stats("fo").unwrap();
+        (
+            s.eval_steps,
+            s.refresh_steps,
+            s.last_delta_card,
+            s.materialized_aux,
+        )
+    }
+
+    fn assert_all_equal_reevaluation(sys: &IvmSystem) {
+        let expected = sys.view("re").unwrap();
+        for name in sys.view_names() {
+            assert_eq!(sys.view(name).unwrap(), expected, "{name}");
+        }
+    }
+
+    /// Apply `updates` to `rel`, the last two as one batch, and return the
+    /// counts of `fo` after registration and after every step.
+    fn drive(sys: &mut IvmSystem, rel: &str, updates: &[Bag]) -> Vec<(u64, u64, u64, u64)> {
+        let mut steps = vec![counts(sys)];
+        let (single, batched) = updates.split_at(updates.len() - 2);
+        for u in single {
+            sys.apply_update(rel, u).unwrap();
+            steps.push(counts(sys));
+            assert_all_equal_reevaluation(sys);
+        }
+        let mut batch = UpdateBatch::new();
+        for u in batched {
+            batch.push(rel, u.clone());
+        }
+        sys.apply_batch(&batch).unwrap();
+        steps.push(counts(sys));
+        assert_all_equal_reevaluation(sys);
+        steps
+    }
+
+    #[test]
+    fn first_order_counts_match_the_pinned_literals() {
+        // E2's filter_p.
+        let movie = |n: &str, g: &str, d: &str| {
+            Value::Tuple(vec![Value::str(n), Value::str(g), Value::str(d)])
+        };
+        let filter_updates = vec![
+            example_movies_update(),
+            Bag::from_values([
+                movie("Heat", "Drama", "Mann"),
+                movie("Up", "Comedy", "Docter"),
+            ]),
+            example_movies_update().negate(),
+            Bag::from_pairs([
+                (movie("Heat", "Drama", "Mann"), -1),
+                (movie("Gladiator", "Drama", "Scott"), 2),
+            ]),
+            Bag::from_values([movie("Heat", "Drama", "Mann")]),
+        ];
+        let q = filter_query("M", cmp_lit("x", vec![1], CmpOp::Eq, "Drama"));
+        let mut sys = IvmSystem::new(example_movies());
+        sys.register("re", q.clone(), Strategy::Reevaluate).unwrap();
+        sys.register("fo", q, Strategy::FirstOrder).unwrap();
+        assert_eq!(
+            drive(&mut sys, "M", &filter_updates),
+            vec![
+                (11, 0, 0, 0),
+                (11, 5, 1, 0),
+                (11, 13, 1, 0),
+                (11, 18, 1, 0),
+                (11, 23, 2, 0)
+            ]
+        );
+
+        // Ex. 4's flatten(R) × flatten(R) over R : Bag(Bag(Int)).
+        let inner = |xs: &[i64]| Value::Bag(Bag::from_values(xs.iter().map(|&x| Value::int(x))));
+        let mut db = Database::new();
+        db.insert_relation(
+            "R",
+            Type::bag(Type::Base(BaseType::Int)),
+            Bag::from_values([inner(&[1, 2]), inner(&[3])]),
+        );
+        let nested_updates = vec![
+            Bag::from_pairs([(inner(&[9, 1]), 1), (inner(&[3]), -1)]),
+            Bag::from_values([inner(&[4, 4, 5])]),
+            Bag::from_pairs([(inner(&[1, 2]), -1)]),
+            Bag::from_pairs([(inner(&[9, 1]), -1), (inner(&[7]), 2)]),
+            Bag::from_values([inner(&[]), inner(&[2])]),
+        ];
+        let q = self_product_of_flatten("R");
+        let mut sys = IvmSystem::new(db);
+        sys.register("re", q.clone(), Strategy::Reevaluate).unwrap();
+        sys.register("fo", q.clone(), Strategy::FirstOrder).unwrap();
+        sys.register("rc", q, Strategy::Recursive).unwrap();
+        assert_eq!(
+            drive(&mut sys, "R", &nested_updates),
+            vec![
+                (17, 0, 0, 0),
+                (17, 69, 17, 0),
+                (17, 111, 33, 0),
+                (17, 169, 24, 0),
+                (17, 289, 43, 0)
+            ]
+        );
+        assert_eq!(sys.stats("rc").unwrap().materialized_aux, 1);
     }
 }

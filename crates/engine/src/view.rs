@@ -1,20 +1,13 @@
-//! Re-evaluation baseline and classical first-order IVM views.
-//!
-//! Both view kinds are oblivious to how updates were grouped: the `delta`
-//! handed to [`FirstOrderView::apply`] may be a single update or a whole
-//! batch coalesced by `⊎` ([`crate::UpdateBatch`]) — additivity of deltas
-//! (Prop. 4.1) makes the refresh identical either way, which is what the
-//! engine's batched path builds on.
+//! The re-evaluation baseline: the view every incremental strategy must
+//! agree with. Classical first-order IVM is
+//! [`crate::recursive::RecursiveView::first_order`].
 
 use crate::error::EngineError;
 use crate::stats::ViewStats;
-use nrc_core::delta::delta_wrt_rel;
 use nrc_core::eval::{eval_query, Env};
-use nrc_core::optimize::simplify;
-use nrc_core::typecheck::{typecheck, TypeEnv};
+use nrc_core::typecheck::typecheck;
 use nrc_core::Expr;
 use nrc_data::{Bag, Database, Type};
-use std::collections::BTreeMap;
 
 /// Baseline view: re-evaluates the query on every update.
 #[derive(Clone, Debug)]
@@ -68,91 +61,6 @@ impl ReevalView {
     }
 }
 
-/// Classical first-order IVM: materialize `h[R]`, refresh via
-/// `h[R ⊎ ΔR] = h[R] ⊎ δ_R(h)[R, ΔR]` (Prop. 4.1), with one derived delta
-/// per relation the query depends on.
-#[derive(Clone, Debug)]
-pub struct FirstOrderView {
-    /// The maintained query.
-    pub query: Expr,
-    /// Simplified first-order delta per relation.
-    pub deltas: BTreeMap<String, Expr>,
-    /// The current result.
-    pub result: Bag,
-    /// Maintenance counters.
-    pub stats: ViewStats,
-    /// Element type of the result bag.
-    pub elem_ty: Type,
-    /// When `Some`, every applied change is additionally `⊎`-merged here —
-    /// the engine's per-batch delta-capture hook (see
-    /// `IvmSystem::set_delta_capture`). `None` costs nothing.
-    pub(crate) captured_delta: Option<Bag>,
-}
-
-impl FirstOrderView {
-    /// Derive the deltas and materialize the query over `db`.
-    ///
-    /// Fails with [`EngineError::Delta`] if the query is outside IncNRC⁺
-    /// (an input-dependent `sng` has no delta rule — register it under
-    /// [`crate::Strategy::Shredded`] instead).
-    pub fn new(query: Expr, db: &Database) -> Result<FirstOrderView, EngineError> {
-        let ty = typecheck(&query, db)?;
-        let elem_ty = match ty {
-            Type::Bag(t) => *t,
-            other => {
-                return Err(EngineError::Type(nrc_core::TypeError::NotABag {
-                    at: "view query".into(),
-                    got: other.to_string(),
-                }))
-            }
-        };
-        let tenv = TypeEnv::from_database(db);
-        let mut deltas = BTreeMap::new();
-        for rel in query.free_relations() {
-            let d = delta_wrt_rel(&query, &rel, &tenv)?;
-            deltas.insert(rel, simplify(&d, &tenv)?);
-        }
-        let mut env = Env::new(db);
-        let result = eval_query(&query, &mut env)?;
-        let stats = ViewStats {
-            reevaluations: 1,
-            eval_steps: env.steps,
-            ..ViewStats::default()
-        };
-        Ok(FirstOrderView {
-            query,
-            deltas,
-            result,
-            stats,
-            elem_ty,
-            captured_delta: None,
-        })
-    }
-
-    /// Apply an update `ΔR` to relation `rel`. `db_before` must be the
-    /// database *before* the update is applied (deltas reference the old
-    /// state).
-    pub fn apply(
-        &mut self,
-        db_before: &Database,
-        rel: &str,
-        delta: &Bag,
-    ) -> Result<(), EngineError> {
-        if let Some(d) = self.deltas.get(rel) {
-            let mut env = Env::new(db_before).with_delta(rel, delta.clone());
-            let change = eval_query(d, &mut env)?;
-            self.stats.refresh_steps += env.steps;
-            self.stats.last_delta_card = change.cardinality();
-            if let Some(captured) = self.captured_delta.as_mut() {
-                captured.union_assign(&change);
-            }
-            self.result.union_assign(&change);
-        }
-        self.stats.updates_applied += 1;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,57 +79,5 @@ mod tests {
         v.refresh(&db2).unwrap();
         assert_eq!(v.result.cardinality(), 2);
         assert_eq!(v.stats.reevaluations, 2);
-    }
-
-    #[test]
-    fn first_order_matches_reevaluation() {
-        let db = example_movies();
-        let q = pair(rel("M"), rel("M"));
-        let mut v = FirstOrderView::new(q.clone(), &db).unwrap();
-        let delta = example_movies_update();
-        v.apply(&db, "M", &delta).unwrap();
-        let mut db2 = db.clone();
-        db2.apply_update("M", &delta).unwrap();
-        let expected = ReevalView::new(q, &db2).unwrap();
-        assert_eq!(v.result, expected.result);
-        assert_eq!(v.stats.updates_applied, 1);
-        assert!(v.stats.last_delta_card > 0);
-    }
-
-    #[test]
-    fn first_order_rejects_non_inc_queries() {
-        let db = example_movies();
-        let err = FirstOrderView::new(related_query(), &db).unwrap_err();
-        assert!(matches!(err, EngineError::Delta(_)));
-    }
-
-    #[test]
-    fn first_order_handles_deletions() {
-        let db = example_movies();
-        let q = filter_query("M", cmp_lit("x", vec![1], CmpOp::Eq, "Action"));
-        let mut v = FirstOrderView::new(q.clone(), &db).unwrap();
-        // Delete Skyfall.
-        let delta = Bag::from_pairs([(
-            nrc_data::Value::Tuple(vec![
-                nrc_data::Value::str("Skyfall"),
-                nrc_data::Value::str("Action"),
-                nrc_data::Value::str("Mendes"),
-            ]),
-            -1,
-        )]);
-        v.apply(&db, "M", &delta).unwrap();
-        assert_eq!(v.result.cardinality(), 1);
-    }
-
-    #[test]
-    fn updates_to_unrelated_relations_are_noops() {
-        let mut db = example_movies();
-        db.declare("Other", Type::Base(nrc_data::BaseType::Int));
-        let q = filter_query("M", cmp_lit("x", vec![1], CmpOp::Eq, "Drama"));
-        let mut v = FirstOrderView::new(q, &db).unwrap();
-        let before = v.result.clone();
-        v.apply(&db, "Other", &Bag::from_values([nrc_data::Value::int(1)]))
-            .unwrap();
-        assert_eq!(v.result, before);
     }
 }

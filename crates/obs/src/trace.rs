@@ -21,8 +21,7 @@
 //! trace and carries its batch index; inner `begin`/`end` pairs only move
 //! the depth. Stage spans recorded anywhere in between land in the one
 //! open trace. Spans are only recorded from the thread that opened the
-//! trace — per-view refresh work on rayon workers reports to registry
-//! histograms instead, keeping the recorder single-writer per trace.
+//! trace, keeping the recorder single-writer per trace.
 
 use serde::Serialize;
 use std::cell::RefCell;

@@ -431,10 +431,9 @@ impl ServingSystem {
         self.engine.batch_stats()
     }
 
-    /// Select how batches refresh views (see [`IvmSystem::set_parallelism`]).
-    pub fn set_parallelism(&mut self, mode: Parallelism) {
-        self.engine.set_parallelism(mode);
-    }
+    /// Does nothing: views always refresh sequentially. Kept only until
+    /// the benchmark package drops its calls (ROADMAP item 1).
+    pub fn set_parallelism(&mut self, _mode: Parallelism) {}
 
     /// Select when memory is reclaimed (see [`IvmSystem::set_collect_policy`]).
     /// Outstanding snapshots bound every policy: a slot resolvable through

@@ -10,7 +10,7 @@ use nrc_core::builder::{cmp_lit, filter_query, related_query};
 use nrc_core::expr::CmpOp;
 use nrc_data::database::{example_movies, example_movies_update};
 use nrc_data::{Bag, Value};
-use nrc_engine::{CollectPolicy, IvmSystem, Parallelism, Strategy, UpdateBatch};
+use nrc_engine::{CollectPolicy, IvmSystem, Strategy, UpdateBatch};
 use nrc_serve::{ServeError, ServingSystem};
 use nrc_workloads::{StreamConfig, StreamGen};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -91,8 +91,7 @@ fn concurrent_readers_agree_with_sequential_replay_under_bounded_gc() {
     let cfg = StreamConfig::ever_fresh(16, "serve-test-conc");
     let mut gen = StreamGen::new(7, cfg.clone());
     let db = gen.database(48);
-    let mut sys = IvmSystem::new(db);
-    sys.set_parallelism(Parallelism::Sequential);
+    let sys = IvmSystem::new(db);
     let q = filter_query("M", cmp_lit("x", vec![1], CmpOp::Eq, "genre0"));
     let mut serve = ServingSystem::new(sys).unwrap();
     serve
@@ -135,7 +134,6 @@ fn concurrent_readers_agree_with_sequential_replay_under_bounded_gc() {
     let mut replay_gen = StreamGen::new(7, cfg);
     let replay_db = replay_gen.database(48);
     let mut replay = IvmSystem::new(replay_db);
-    replay.set_parallelism(Parallelism::Sequential);
     replay.register("hot", q, Strategy::FirstOrder).unwrap();
     let mut states: Vec<Bag> = vec![replay.view("hot").unwrap()];
     for _ in 0..NBATCHES {

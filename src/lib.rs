@@ -15,8 +15,8 @@
 //! * [`workloads`] — seeded data and update generators
 //!
 //! The end-to-end design — parser → typecheck → delta/shredding → engine
-//! strategies → views, including the batched parallel maintenance path —
-//! is documented in `docs/ARCHITECTURE.md` at the repository root.
+//! strategies → views, including the batched maintenance path — is
+//! documented in `docs/ARCHITECTURE.md` at the repository root.
 //!
 //! ## Example: maintaining the paper's motivating query
 //!

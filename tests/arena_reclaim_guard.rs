@@ -21,7 +21,7 @@
 //! it counts. No wall-clock assertion.
 
 use nrc_durable::{DurableOptions, DurableSystem, FsyncPolicy};
-use nrc_engine::{CollectPolicy, Parallelism, Strategy, UpdateBatch};
+use nrc_engine::{CollectPolicy, Strategy, UpdateBatch};
 use nrc_workloads::{StreamConfig, StreamGen};
 
 const MOVIES: usize = 96;
@@ -58,7 +58,6 @@ fn ingest(policy: CollectPolicy, tag: &str) -> Outcome {
         ..DurableOptions::default()
     };
     let mut sys = DurableSystem::create(&dir, gen.database(MOVIES), &[], options).expect("create");
-    sys.set_parallelism(Parallelism::Sequential);
     sys.set_collect_policy(policy);
     for (name, src, strategy) in [
         ("re", FILTER, Strategy::Reevaluate),

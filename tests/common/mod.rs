@@ -21,7 +21,7 @@
 
 use nrc_core::Expr;
 use nrc_data::{intern, Bag, Database, Value};
-use nrc_engine::{IvmSystem, Parallelism, Strategy, UpdateBatch};
+use nrc_engine::{IvmSystem, Strategy, UpdateBatch};
 use nrc_workloads::{RecoveryPlan, StreamConfig, StreamGen};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -99,7 +99,6 @@ pub fn plan_states(
     views: &[(&str, Expr, Strategy)],
 ) -> Vec<BTreeMap<String, Bag>> {
     let mut sys = IvmSystem::new(db);
-    sys.set_parallelism(Parallelism::Sequential);
     for (name, query, strategy) in views {
         sys.register(*name, query.clone(), *strategy)
             .expect("replica registration");

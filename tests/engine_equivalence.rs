@@ -167,16 +167,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases_env(10))]
 
     /// `apply_batch(us)` yields view states identical to sequentially
-    /// applying each `u ∈ us`, across all four maintenance strategies and
-    /// both refresh execution modes.
+    /// applying each `u ∈ us`, across all four maintenance strategies.
     #[test]
     fn apply_batch_equals_sequential_updates(
         seed in 0u64..10_000,
         batch_sizes in prop::collection::vec(1usize..8, 1..4),
         delete_tenths in 0usize..6,
-        parallel in any::<bool>(),
     ) {
-        use nrc_engine::{Parallelism, UpdateBatch};
+        use nrc_engine::UpdateBatch;
         use nrc_workloads::{StreamConfig, StreamGen};
 
         let mut gen = StreamGen::new(
@@ -191,11 +189,6 @@ proptest! {
         );
         let db = gen.database(25);
         let mut batched = batchable_system(db.clone());
-        batched.set_parallelism(if parallel {
-            Parallelism::Rayon
-        } else {
-            Parallelism::Sequential
-        });
         let mut sequential = batchable_system(db);
 
         for size in batch_sizes {
@@ -213,7 +206,7 @@ proptest! {
                 prop_assert_eq!(
                     batched.view(view).expect("batched view"),
                     sequential.view(view).expect("sequential view"),
-                    "view {} diverged (parallel={})", view, parallel
+                    "view {} diverged", view
                 );
             }
             // All four strategies agree with each other through the batched

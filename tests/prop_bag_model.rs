@@ -22,7 +22,7 @@ use common::{drain, fresh_case, payload, serial};
 use nrc_core::builder::{cmp_lit, filter_query, rel};
 use nrc_core::expr::CmpOp;
 use nrc_data::{intern, Bag, Value, Vid};
-use nrc_engine::{CollectPolicy, IvmSystem, Parallelism, Strategy as Maintain, UpdateBatch};
+use nrc_engine::{CollectPolicy, IvmSystem, Strategy as Maintain, UpdateBatch};
 use nrc_workloads::{StreamConfig, StreamGen};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -223,11 +223,9 @@ proptest! {
         let views = ["re", "fo", "rc", "sh"];
         // System under test: coalesced batches + bounded reclamation.
         let mut sys = IvmSystem::new(db.clone());
-        sys.set_parallelism(Parallelism::Sequential);
         sys.set_collect_policy(CollectPolicy::Bounded { max_slots, every });
         // Sequential replica: one update per batch, no reclamation.
         let mut replica = IvmSystem::new(db);
-        replica.set_parallelism(Parallelism::Sequential);
         for (name, strategy) in [
             ("re", Maintain::Reevaluate),
             ("fo", Maintain::FirstOrder),

@@ -24,7 +24,7 @@ use common::{drain, fresh_case, serial};
 use nrc_core::builder::{cmp_lit, filter_query, rel};
 use nrc_core::expr::CmpOp;
 use nrc_data::{intern, Bag, DataError, Value, Vid};
-use nrc_engine::{CollectPolicy, IvmSystem, Parallelism, Strategy as Maintain, UpdateBatch};
+use nrc_engine::{CollectPolicy, IvmSystem, Strategy as Maintain, UpdateBatch};
 use nrc_workloads::{StreamConfig, StreamGen};
 use proptest::prelude::*;
 
@@ -74,7 +74,6 @@ proptest! {
         policy in arb_policy(),
         // Explicit bounded sweeps injected before random batch indices.
         interleavings in prop::collection::vec((arb_budget(), 0usize..5), 0..6),
-        parallel in any::<bool>(),
     ) {
         let _serial = serial();
         let case = fresh_case();
@@ -89,7 +88,6 @@ proptest! {
         let db = gen.database(20);
         let q = query_pool(query_idx);
         let mut sys = IvmSystem::new(db);
-        sys.set_parallelism(if parallel { Parallelism::Rayon } else { Parallelism::Sequential });
         sys.set_collect_policy(policy);
         sys.register("re", q.clone(), Maintain::Reevaluate).expect("re");
         sys.register("fo", q.clone(), Maintain::FirstOrder).expect("fo");

@@ -23,7 +23,7 @@ use common::{fresh_case, serial};
 use nrc_core::builder::{cmp_lit, filter_query, rel};
 use nrc_core::expr::CmpOp;
 use nrc_data::{intern, Bag};
-use nrc_engine::{CollectPolicy, IvmSystem, Parallelism, Strategy, UpdateBatch};
+use nrc_engine::{CollectPolicy, IvmSystem, Strategy, UpdateBatch};
 use nrc_serve::{ServingSystem, Snapshot};
 use nrc_workloads::{StreamConfig, StreamGen};
 use proptest::prelude::*;
@@ -89,8 +89,7 @@ proptest! {
         };
         let mut gen = StreamGen::new(seed, cfg.clone());
         let db = gen.database(20);
-        let mut engine = IvmSystem::new(db);
-        engine.set_parallelism(Parallelism::Sequential);
+        let engine = IvmSystem::new(db);
         let mut serve = ServingSystem::new(engine).expect("serving system");
         serve.set_collect_policy(policy_pool(policy_idx));
         let hot = filter_query("M", cmp_lit("x", vec![1], CmpOp::Eq, "genre0"));
