@@ -17,6 +17,7 @@ use nrc_bench::{
     e14_planner, e1_related, e2_filter, e3_recursive, e4_cost, e5_deep, e6_circuit, e7_degree,
     e8_batch,
 };
+use nrc_obs::json::Json;
 use std::io::Write;
 
 fn main() {
@@ -73,6 +74,6 @@ fn main() {
 fn write_json(tables: &[Table]) -> std::io::Result<()> {
     std::fs::create_dir_all("results")?;
     let mut f = std::fs::File::create("results/experiments.json")?;
-    let json = serde_json::to_string_pretty(tables).expect("serializable tables");
+    let json = Json::Array(tables.iter().map(Table::to_json).collect()).to_pretty();
     f.write_all(json.as_bytes())
 }

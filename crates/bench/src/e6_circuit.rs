@@ -1,13 +1,18 @@
-//! E6 — the NC⁰ vs TC⁰ separation of Theorem 9, measured on explicit
-//! circuits.
+//! E6 — depth of hand-built circuits: the mod-2^k `V ⊎ ΔV` adder against
+//! hand-built re-evaluation circuits.
 //!
-//! The IVM refresh circuit (`V ⊎ ΔV` on the mod-2^k bit representation of
+//! The refresh circuit (`V ⊎ ΔV` on the mod-2^k bit representation of
 //! shredded views) must have depth and per-output input-support independent
 //! of the domain size — the defining property of an NC⁰ family. The
 //! re-evaluation circuit for `flatten` must not: its outputs sum
 //! multiplicities from across the input, forcing `Θ(log n)` depth with
 //! bounded fan-in (constant depth would need TC⁰'s unbounded-fan-in
 //! majority gates).
+//!
+//! No query's derived delta enters either circuit. The adder is only the
+//! last step of Theorem 9's claim, that the shredded delta of a query is
+//! computable in NC⁰; that claim is not checked here and stays open (see
+//! `ROADMAP.md`).
 
 use crate::report::Table;
 use nrc_circuit::{flatten_circuit, refresh_circuit, BagLayout};
@@ -26,7 +31,8 @@ pub fn run(quick: bool) -> Table {
     let k = 4;
     let mut t = Table::new(
         "E6",
-        "Thm. 9: NC⁰ refresh vs non-NC⁰ re-evaluation (k = 4 bits/multiplicity)",
+        "hand-built circuits: NC⁰ `V ⊎ ΔV` adder vs non-NC⁰ re-evaluation \
+         (k = 4 bits/multiplicity; no query delta, so not Thm. 9)",
         &[
             "domain n",
             "refresh depth",

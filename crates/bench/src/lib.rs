@@ -15,7 +15,7 @@
 //! | E3 | §4.1/Ex. 4: recursive IVM materializes the input-dependent parts of δ |
 //! | E4 | §4.2/Thm. 4: `tcost(C[[δ(h)]]) < tcost(C[[h]])`, tcost bounds measured work (Lemma 3) |
 //! | E5 | §5: shredded IVM supports deep updates to inner bags |
-//! | E6 | Thm. 9: NC⁰ refresh vs non-NC⁰ re-evaluation circuits |
+//! | E6 | none: hand-built NC⁰ `V ⊎ ΔV` adder vs non-NC⁰ re-evaluation circuits (Thm. 9 for query deltas is open) |
 //! | E7 | Thm. 2: the delta tower has exactly deg(h) input-dependent levels |
 //! | E8 | Prop. 4.1 additivity: coalesced batches vs per-update refresh |
 //! | E14 | Planner ablation: the §4.2 cost model's pick vs every hand-picked strategy |

@@ -1,9 +1,9 @@
 //! Tabular experiment output: markdown for humans, JSON for tooling.
 
-use serde::Serialize;
+use nrc_obs::json::Json;
 
 /// One experiment's result table.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Table {
     /// Experiment id, e.g. `"E1"`.
     pub id: String,
@@ -58,6 +58,22 @@ impl Table {
         out.push('\n');
         out
     }
+
+    /// The JSON object `{id, title, columns, rows, notes}`.
+    pub fn to_json(&self) -> Json {
+        let strings =
+            |cells: &[String]| Json::Array(cells.iter().cloned().map(Json::Str).collect());
+        Json::Object(vec![
+            ("id".to_owned(), Json::Str(self.id.clone())),
+            ("title".to_owned(), Json::Str(self.title.clone())),
+            ("columns".to_owned(), strings(&self.columns)),
+            (
+                "rows".to_owned(),
+                Json::Array(self.rows.iter().map(|r| strings(r)).collect()),
+            ),
+            ("notes".to_owned(), strings(&self.notes)),
+        ])
+    }
 }
 
 /// Format a microsecond figure compactly.
@@ -85,6 +101,44 @@ mod tests {
         assert!(md.contains("| n | time |"));
         assert!(md.contains("| 1 | 2 µs |"));
         assert!(md.contains("> looks right"));
+    }
+
+    /// What the harness writes to `results/experiments.json`, byte for byte.
+    #[test]
+    fn json_is_golden() {
+        let mut t = Table::new("E0", "demo \"quoted\"", &["n", "time"]);
+        t.row(vec!["1".into(), "2 µs".into()]);
+        t.note("looks right");
+        let empty = Table::new("E1", "empty", &[]);
+        assert_eq!(
+            Json::Array(vec![t.to_json(), empty.to_json()]).to_pretty(),
+            r#"[
+  {
+    "id": "E0",
+    "title": "demo \"quoted\"",
+    "columns": [
+      "n",
+      "time"
+    ],
+    "rows": [
+      [
+        "1",
+        "2 µs"
+      ]
+    ],
+    "notes": [
+      "looks right"
+    ]
+  },
+  {
+    "id": "E1",
+    "title": "empty",
+    "columns": [],
+    "rows": [],
+    "notes": []
+  }
+]"#
+        );
     }
 
     #[test]

@@ -5,13 +5,11 @@
 //! earlier nodes), so evaluation, depth and dependency analyses are single
 //! passes.
 
-use serde::Serialize;
-
 /// A node index within a circuit.
 pub type NodeId = usize;
 
 /// A gate (or input) of the circuit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Gate {
     /// A primary input wire.
     Input,
@@ -38,7 +36,7 @@ impl Gate {
 }
 
 /// A circuit: gates in topological order plus designated output nodes.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Circuit {
     gates: Vec<Gate>,
     inputs: Vec<NodeId>,

@@ -7,11 +7,10 @@
 //! from the active domain ... in some canonical ordering").
 
 use nrc_data::{Bag, Value};
-use serde::Serialize;
 
 /// The bit layout of a flat bag: the canonical tuple universe plus the
 /// multiplicity width `k`.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct BagLayout {
     /// The possible tuples, sorted (canonical order).
     pub universe: Vec<Value>,

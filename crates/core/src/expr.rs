@@ -18,13 +18,12 @@
 //! delta-named [`Expr::Var`]s).
 
 use nrc_data::{BaseValue, Type};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A reference to (a component of) a comprehension-bound element variable,
 /// e.g. `m.2` — variable `m`, path `[1]` (0-based).
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ScalarRef {
     /// The element variable.
     pub var: String,
@@ -61,7 +60,7 @@ impl fmt::Display for ScalarRef {
 }
 
 /// Comparison operators of the (positive) predicate language.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CmpOp {
     /// `==`
     Eq,
@@ -92,7 +91,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// An operand of a comparison: a variable component or a literal.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Operand {
     /// A component of an element variable.
     Ref(ScalarRef),
@@ -114,7 +113,7 @@ impl fmt::Display for Operand {
 /// The positivity restriction of the calculus is that predicates may only
 /// compare *base-typed* components — never bags — so boolean negation inside
 /// a predicate is harmless (it cannot simulate bag difference; Appendix A.2).
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BoolExpr {
     /// A comparison between two base-valued operands.
     Cmp(Operand, CmpOp, Operand),
@@ -185,7 +184,7 @@ impl fmt::Display for BoolExpr {
 }
 
 /// An expression of the (label-extended) positive nested relational calculus.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Expr {
     /// A database relation `R`.
     Rel(String),

@@ -33,7 +33,6 @@ use crate::error::DataError;
 use crate::intern::{self, Vid};
 use crate::livemap::VidMap;
 use crate::value::Value;
-use serde::{Deserialize, Json, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -477,18 +476,6 @@ impl Bag {
         Ok(out)
     }
 }
-
-impl Serialize for Bag {
-    /// The sorted `[id, multiplicity]` pair array under `"elems"` (the
-    /// shape the former derived impl produced). Real persistence goes
-    /// through [`crate::codec`], which is arena-independent; this JSON form
-    /// serves diagnostics.
-    fn to_json(&self) -> Json {
-        Json::Object(vec![("elems".to_string(), self.map.to_json())])
-    }
-}
-
-impl Deserialize for Bag {}
 
 impl FromIterator<Value> for Bag {
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {

@@ -6,11 +6,10 @@
 //! integers and strings, which is enough for every example and workload in
 //! the paper while keeping values totally ordered.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The type of a primitive database value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BaseType {
     /// Booleans (used by workloads; predicates themselves live outside bags).
     Bool,
@@ -34,7 +33,7 @@ impl fmt::Display for BaseType {
 ///
 /// The derived [`Ord`] gives the canonical total order used to keep bag
 /// contents sorted and deterministic.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum BaseValue {
     /// A boolean.
     Bool(bool),

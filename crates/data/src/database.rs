@@ -4,13 +4,12 @@ use crate::bag::Bag;
 use crate::error::DataError;
 use crate::types::Type;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A database: relation names mapped to bag instances, with declared element
 /// types (`Sch(R) = B`, Fig. 3's relation typing rule).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Database {
     relations: BTreeMap<String, Bag>,
     schemas: BTreeMap<String, Type>,

@@ -24,7 +24,6 @@ use crate::error::DataError;
 use crate::intern::{self, Vid};
 use crate::livemap::VidMap;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A label `⟨ι, ε⟩`: a static index `ι` identifying the `sng` occurrence (or
@@ -34,7 +33,7 @@ use std::fmt;
 /// Incorporating `ε` in the label lets labels be created independently of
 /// their defining dictionary and guarantees one definition per distinct
 /// assignment.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Label {
     /// The static index `ι`.
     pub index: u32,
@@ -95,7 +94,7 @@ impl fmt::Display for Label {
 /// copies only the path to the label it touches. Like `Bag`'s, the key set
 /// participates in arena reclamation (label slots are retained while in a
 /// support, released when dropped).
-#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Dictionary {
     entries: VidMap<Bag>,
 }

@@ -80,7 +80,6 @@ use crate::base::BaseValue;
 use crate::dict::Label;
 use crate::error::DataError;
 use crate::value::Value;
-use serde::{Deserialize, Json, Serialize};
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -257,16 +256,6 @@ impl fmt::Display for Vid {
         write!(f, "{}", self.value())
     }
 }
-
-impl Serialize for Vid {
-    /// Ids are process-local; on the wire a `Vid` is its resolved value, so
-    /// the serialized form of id-keyed bags matches the seed representation.
-    fn to_json(&self) -> Json {
-        self.value().to_json()
-    }
-}
-
-impl Deserialize for Vid {}
 
 /// Scan one hash bucket for an already-interned equal value.
 fn find_interned(map: &HashMap<u64, Vec<u32>>, hash: u64, value: &Value) -> Option<u32> {
@@ -709,7 +698,7 @@ pub fn pending_reclaim() -> u64 {
 }
 
 /// A point-in-time snapshot of the arena's occupancy.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
     /// Slots currently occupied by a distinct interned value.
     pub live: u64,
@@ -721,8 +710,6 @@ pub struct ArenaStats {
     /// estimate; nested bag/dict children count toward their own slots).
     pub bytes: u64,
 }
-
-impl Deserialize for ArenaStats {}
 
 /// Snapshot the arena occupancy counters.
 pub fn arena_stats() -> ArenaStats {

@@ -52,7 +52,6 @@
 //! nesting levels.
 
 use crate::intern::{self, Vid};
-use serde::{Deserialize, Json, Serialize};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, LazyLock};
@@ -755,19 +754,6 @@ impl<T: Hash> Hash for VidMap<T> {
         }
     }
 }
-
-impl<T: Serialize> Serialize for VidMap<T> {
-    /// An array of `[key, value]` pairs in key order.
-    fn to_json(&self) -> Json {
-        Json::Array(
-            self.iter()
-                .map(|(key, value)| Json::Array(vec![key.to_json(), value.to_json()]))
-                .collect(),
-        )
-    }
-}
-
-impl<T: Deserialize> Deserialize for VidMap<T> {}
 
 #[cfg(test)]
 mod tests {

@@ -13,11 +13,10 @@
 //! and keeps example schemas flat and readable.
 
 use crate::base::BaseType;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A type of the (label-extended) nested relational calculus.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Type {
     /// Primitive type from the database domain.
     Base(BaseType),

@@ -9,7 +9,6 @@ use crate::base::BaseValue;
 use crate::dict::{Dictionary, Label};
 use crate::error::DataError;
 use crate::types::Type;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A value of the (label-extended) nested relational calculus.
@@ -17,7 +16,7 @@ use std::fmt;
 /// Values are totally ordered; this order is what keeps [`Bag`] contents and
 /// dictionary supports canonical, making structural equality of query results
 /// a simple `==`.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Value {
     /// A primitive value.
     Base(BaseValue),

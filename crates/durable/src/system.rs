@@ -73,7 +73,6 @@ use nrc_engine::{
 use nrc_serve::{
     FeedDelta, ServeError, ServeStats, ServingSystem, Snapshot, SnapshotReader, Subscription,
 };
-use serde::Serialize;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -157,7 +156,7 @@ impl Default for DurableOptions {
 /// single `checkpoints` counter conflated the two — a recovered system
 /// reported a nonzero index with zero work done, and callers could not
 /// tell cadence from inheritance.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DurableStats {
     /// Durable batch index of the last applied batch (the durable prefix
     /// length, including batches applied by previous instances).
@@ -178,7 +177,7 @@ pub struct DurableStats {
 }
 
 /// What recovery found and did.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Durable batch index of the checkpoint recovery started from.
     pub checkpoint_index: u64,

@@ -39,8 +39,6 @@ pub struct RecursiveView {
     pub auxes: Vec<Aux>,
     /// Maintenance counters.
     pub stats: ViewStats,
-    /// Element type of the result bag.
-    pub elem_ty: Type,
     /// When `Some`, every applied change to *this* view (not its
     /// auxiliaries) is additionally `⊎`-merged here — the engine's
     /// per-batch delta-capture hook. `None` costs nothing.
@@ -82,14 +80,11 @@ impl RecursiveView {
         mut counter: Option<&mut u32>,
     ) -> Result<RecursiveView, EngineError> {
         let ty = typecheck(&query, db)?;
-        let elem_ty = match ty {
-            Type::Bag(t) => *t,
-            other => {
-                return Err(EngineError::Type(nrc_core::TypeError::NotABag {
-                    at: "view query".into(),
-                    got: other.to_string(),
-                }))
-            }
+        let Type::Bag(_) = ty else {
+            return Err(EngineError::Type(nrc_core::TypeError::NotABag {
+                at: "view query".into(),
+                got: ty.to_string(),
+            }));
         };
         let tenv = TypeEnv::from_database(db);
         let mut deltas = BTreeMap::new();
@@ -124,7 +119,6 @@ impl RecursiveView {
             deltas,
             auxes,
             stats,
-            elem_ty,
             captured_delta: None,
         })
     }
@@ -170,16 +164,6 @@ impl RecursiveView {
             .iter()
             .map(|a| a.view.materialization_count())
             .sum::<usize>()
-    }
-
-    /// Total refresh steps across the hierarchy (for strategy comparisons).
-    pub fn total_refresh_steps(&self) -> u64 {
-        self.stats.refresh_steps
-            + self
-                .auxes
-                .iter()
-                .map(|a| a.view.total_refresh_steps())
-                .sum::<u64>()
     }
 }
 

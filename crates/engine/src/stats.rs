@@ -1,10 +1,9 @@
 //! Per-view and per-batch maintenance statistics.
 
 use nrc_data::ArenaStats;
-use serde::Serialize;
 
 /// Counters describing how a view has been maintained.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ViewStats {
     /// Updates applied to the view.
     pub updates_applied: u64,
@@ -33,7 +32,7 @@ pub struct ViewStats {
 /// Counters describing the batched maintenance path
 /// ([`crate::IvmSystem::apply_batch`]): how many raw updates were coalesced,
 /// how much delta volume was applied, and how long the batch refreshes took.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Batches applied through `apply_batch`.
     pub batches_applied: u64,

@@ -18,22 +18,17 @@ pub struct ReevalView {
     pub result: Bag,
     /// Maintenance counters.
     pub stats: ViewStats,
-    /// The query's type (element type of the result bag).
-    pub elem_ty: Type,
 }
 
 impl ReevalView {
     /// Materialize the query over `db`.
     pub fn new(query: Expr, db: &Database) -> Result<ReevalView, EngineError> {
         let ty = typecheck(&query, db)?;
-        let elem_ty = match ty {
-            Type::Bag(t) => *t,
-            other => {
-                return Err(EngineError::Type(nrc_core::TypeError::NotABag {
-                    at: "view query".into(),
-                    got: other.to_string(),
-                }))
-            }
+        let Type::Bag(_) = ty else {
+            return Err(EngineError::Type(nrc_core::TypeError::NotABag {
+                at: "view query".into(),
+                got: ty.to_string(),
+            }));
         };
         let mut env = Env::new(db);
         let result = eval_query(&query, &mut env)?;
@@ -46,7 +41,6 @@ impl ReevalView {
             query,
             result,
             stats,
-            elem_ty,
         })
     }
 

@@ -38,12 +38,14 @@
 //! per-batch stage timelines (coalesce → refresh → GC → publish → WAL
 //! append → fsync → checkpoint) for post-mortem of the slowest batches.
 //! Overhead is priced by the ledger (`benchmark/`, `obs.overhead_share`).
+//! [`json`] is the workspace's one JSON writer, behind every JSON export.
 
+pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod trace;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HistogramSummary};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{enabled, global, set_enabled, MetricsSnapshot, Registry};
 pub use trace::{BatchTrace, FlightRecorder, StageSpan, TraceBuilder};
 

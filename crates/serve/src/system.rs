@@ -19,13 +19,12 @@ use nrc_engine::{
     BatchStats, CollectPolicy, EngineError, IvmSystem, NrcError, Parallelism, QueryPlan, Strategy,
     UpdateBatch,
 };
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Weak};
 
 /// Counters describing the serving layer, in the spirit of
 /// [`BatchStats`] for the batch path.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Snapshots published: one at construction, then one per successful
     /// batch or registration.

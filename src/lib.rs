@@ -8,7 +8,8 @@
 //! * [`core`] — calculus, deltas, degrees, costs, shredding
 //! * [`engine`] — materialized views and maintenance strategies
 //! * [`parser`] — NRC⁺ surface syntax
-//! * [`circuit`] — NC⁰/TC⁰ circuit substrate (Theorem 9)
+//! * [`circuit`] — boolean circuit substrate with hand-built refresh and
+//!   re-evaluation circuits (no query's delta is lowered to it)
 //! * [`serve`] — concurrent snapshot serving (single writer, many readers)
 //! * [`durable`] — write-ahead log, checkpoints, crash recovery
 //! * [`obs`] — metrics registry and per-batch flight recorder
