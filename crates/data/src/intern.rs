@@ -51,6 +51,13 @@
 //!   instead of one stop-the-world sweep; repeated bounded calls converge
 //!   to exactly the state a full sweep reaches (`CollectStats::pending`
 //!   reports the backlog still to visit).
+//! * The sweep queue holds **one entry per dying slot**, not one per death.
+//!   A slot revived by a lookup hit and released again queues a second
+//!   entry while its first may still be queued (under a pin, deferred
+//!   entries stay); each sweep pass examines the first entry it meets for
+//!   a slot and drops the rest before taking any lock (see
+//!   [`collect_bounded`]). Otherwise, while a published snapshot holds a
+//!   pin, every sweep would re-examine one entry per death: O(batches).
 //! * Reused slots are **generation-tagged**: `Vid` stays `Copy` by carrying
 //!   `(index, generation)`, and every resolve checks the slot's current
 //!   generation. Using a `Vid` whose slot was reclaimed is a deterministic
@@ -372,13 +379,6 @@ pub fn intern_label(label: Label) -> Vid {
     intern(Value::Label(label))
 }
 
-/// Number of arena slots ever allocated (monotone high-water mark;
-/// diagnostics). Reused slots do not advance this — see
-/// [`arena_stats`] for the live/dead/reused breakdown.
-pub fn interned_count() -> u64 {
-    INTERNER.arena.len.load(AtomicOrdering::Acquire) as u64
-}
-
 // ---------------------------------------------------------------------------
 // Liveness: per-slot live counts maintained by the id-keyed maps.
 // ---------------------------------------------------------------------------
@@ -441,11 +441,6 @@ pub struct Epoch(pub u64);
 /// The reclamation clock. Starts at 1 so epoch 0 can never equal a death
 /// stamp taken before any advance.
 static EPOCH: AtomicU64 = AtomicU64::new(1);
-
-/// The current epoch.
-pub fn current_epoch() -> Epoch {
-    Epoch(EPOCH.load(AtomicOrdering::Acquire))
-}
 
 /// Advance the reclamation clock, returning the new epoch. Typically called
 /// right before [`collect`] (or via [`collect_now`]) so everything that
@@ -528,7 +523,10 @@ pub struct CollectStats {
     /// Slots reclaimed (unhashed, value dropped, index freed for reuse).
     pub freed: u64,
     /// Dying-list entries skipped because the slot was referenced again
-    /// (retained or re-interned) before the sweep reached it.
+    /// (retained or re-interned) before the sweep reached it — including
+    /// duplicate entries a sweep drops for a slot it already examined this
+    /// pass, which exist only because the slot was revived after its older
+    /// entry was queued and then died again.
     pub resurrected: u64,
     /// Entries still dead but too young for the horizon (or shielded by a
     /// pin); they stay on the sweep queue for a later sweep.
@@ -560,17 +558,26 @@ pub fn collect(horizon: Epoch) -> CollectStats {
 ///
 /// * at most `max_slots` slots are reclaimed (the expensive part: an
 ///   exclusive shard lock plus a recursive value drop per slot);
-/// * at most the entries queued at call start are *examined* (a few atomic
-///   loads each); entries that must stay dying (too young, or shielded by a
-///   pin) rotate to the back of the queue and are not revisited this call,
-///   so a backlog of unreclaimable slots cannot spin the sweep.
+/// * at most the entries queued at call start are *examined*, each under
+///   the exclusive lock of its slot's shard; entries that must stay dying
+///   (too young, or shielded by a pin) rotate to the back of the queue and
+///   are not revisited this call, so a backlog of unreclaimable slots
+///   cannot spin the sweep;
+/// * at most **one entry per slot** is examined per call. A slot revived
+///   by a lookup hit and released again queues a second entry; the first
+///   entry the call meets decides the slot, and every later one is dropped
+///   before any lock is taken (counted in [`CollectStats::resurrected`]).
+///   Dropping is sound: the deciding entry either went back on the queue,
+///   or left the slot's `enqueued` flag clear so any later death queued a
+///   fresh entry. Either way the slot keeps one entry, and the queue holds
+///   O(distinct dying slots) however long a pin is held.
 ///
 /// The epoch/generation protocol is identical to a full sweep: every free
 /// happens under the exclusive shard lock, resurrection (a lookup hit on a
 /// queued slot — including one the cursor already passed and deferred)
-/// still wins against a later sweep, and stale ids keep failing
-/// deterministically even when their slot is reused while earlier queue
-/// entries are still pending. Repeated bounded calls with a fresh horizon
+/// still wins against a later sweep until the slot dies again, and stale
+/// ids keep failing deterministically even when their slot is reused while
+/// earlier queue entries are still pending. Repeated bounded calls with a fresh horizon
 /// (see [`collect_bounded_now`]) converge to exactly the live set and
 /// [`ArenaStats`] a single full sweep reaches once `freed` and `pending`
 /// both hit zero. `max_slots == 0` examines nothing and just reports the
@@ -578,7 +585,17 @@ pub fn collect(horizon: Epoch) -> CollectStats {
 pub fn collect_bounded(horizon: Epoch, max_slots: u64) -> CollectStats {
     let obs_start = nrc_obs::enabled().then(std::time::Instant::now);
     let interner = &*INTERNER;
-    let _sweep = interner.sweep.lock().expect("intern sweep");
+    let mut sweep = interner.sweep.lock().expect("intern sweep");
+    *sweep = sweep.wrapping_add(1);
+    if *sweep == 0 {
+        // The pass number wrapped: clear every stamp, so that no slot's
+        // stamp from 2^32 passes ago can match the passes to come.
+        for idx in 0..interner.arena.len.load(AtomicOrdering::Acquire) {
+            slot(idx).swept_in.store(0, AtomicOrdering::Relaxed);
+        }
+        *sweep = 1;
+    }
+    let pass = *sweep;
     let mut limit = horizon.0.min(EPOCH.load(AtomicOrdering::Acquire));
     if let Some(p) = min_pinned() {
         limit = limit.min(p);
@@ -599,6 +616,14 @@ pub fn collect_bounded(horizon: Epoch, max_slots: u64) -> CollectStats {
             .pop_front()
             .expect("examine is bounded by queue.len()");
         let s = slot(idx);
+        if s.swept_in.swap(pass, AtomicOrdering::Relaxed) == pass {
+            // This pass already decided the slot on an earlier entry, which
+            // either went back on the queue or left `enqueued` clear (so any
+            // later death queued a fresh entry in the inbox). Either way the
+            // slot keeps one entry: drop this one without a shard lock.
+            stats.resurrected += 1;
+            continue;
+        }
         let shard = &interner.shards[shard_of(s.hash.load(AtomicOrdering::Relaxed))];
         let mut map = shard.write().expect("intern shard");
         // Re-check everything under the exclusive shard lock: resolution of
@@ -931,6 +956,10 @@ struct Slot {
     dead_since: AtomicU64,
     /// Is the index currently on the dying list?
     enqueued: AtomicBool,
+    /// The last sweep pass that examined an entry for this index (0 =
+    /// none). Touched only under the sweep lock: a pass drops every later
+    /// entry for the index it meets (see `collect_bounded`).
+    swept_in: AtomicU32,
     /// `approx_bytes` of the stored value (for `ArenaStats::bytes`).
     bytes: AtomicU64,
 }
@@ -945,6 +974,7 @@ impl Slot {
             gen: AtomicU32::new(0),
             dead_since: AtomicU64::new(0),
             enqueued: AtomicBool::new(false),
+            swept_in: AtomicU32::new(0),
             bytes: AtomicU64::new(m.bytes),
         }
     }
@@ -1098,8 +1128,9 @@ struct Interner {
     backlog: Mutex<VecDeque<u32>>,
     /// Reclaimed indices available for reuse.
     free: Mutex<Vec<u32>>,
-    /// Serializes sweeps.
-    sweep: Mutex<()>,
+    /// Serializes sweeps; holds the number of the last sweep pass (the
+    /// stamp `Slot::swept_in` is compared against).
+    sweep: Mutex<u32>,
     /// Outstanding epoch pins: epoch → pin count.
     pins: Mutex<BTreeMap<u64, u64>>,
     stats: Counters,
@@ -1118,7 +1149,7 @@ static INTERNER: LazyLock<Interner> = LazyLock::new(|| Interner {
     dying: Mutex::new(Vec::new()),
     backlog: Mutex::new(VecDeque::new()),
     free: Mutex::new(Vec::new()),
-    sweep: Mutex::new(()),
+    sweep: Mutex::new(0),
     pins: Mutex::new(BTreeMap::new()),
     stats: Counters {
         live: AtomicU64::new(0),
@@ -1508,6 +1539,44 @@ mod tests {
         for v in &inner {
             assert!(lookup(v).is_none(), "{v} should be reclaimed");
         }
+    }
+
+    #[test]
+    fn a_revived_slot_keeps_one_queue_entry_under_a_pin() {
+        let _serial = gc_serial();
+        let v = probe("revived", 0);
+        let epoch_pin = pin();
+        drop(Bag::from_values([v.clone()]));
+        collect_bounded_now(u64::MAX); // defers the first entry
+        for _ in 0..8 {
+            // Revive, then die again: each death queues another entry.
+            assert!(lookup(&v).is_some());
+            drop(Bag::from_values([v.clone()]));
+        }
+        let swept = collect_bounded_now(u64::MAX);
+        assert!(swept.resurrected >= 8, "duplicates dropped: {swept:?}");
+        drop(epoch_pin);
+        collect_now();
+        assert!(lookup(&v).is_none(), "the kept entry frees the slot");
+    }
+
+    #[test]
+    fn a_wrapped_pass_number_matches_no_old_stamp() {
+        let _serial = gc_serial();
+        let v = probe("wrap", 0);
+        let epoch_pin = pin();
+        drop(Bag::from_values([v.clone()]));
+        // Stamp the slot with pass 1, then jump to the last pass number so
+        // the next sweep wraps back to pass 1.
+        *INTERNER.sweep.lock().unwrap() = 0;
+        collect_bounded_now(u64::MAX);
+        *INTERNER.sweep.lock().unwrap() = u32::MAX;
+        // Had the stamp survived the wrap, this pass would drop the slot's
+        // only entry as a duplicate and the slot would never be freed.
+        collect_bounded_now(u64::MAX);
+        drop(epoch_pin);
+        collect_now();
+        assert!(lookup(&v).is_none(), "the slot's entry survived the wrap");
     }
 
     #[test]

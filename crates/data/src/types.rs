@@ -72,12 +72,6 @@ impl Type {
         }
     }
 
-    /// Is this type *flat*, i.e. free of bag, label and dictionary types?
-    /// (Same as `TBase`; kept as a separate name for call-site clarity.)
-    pub fn is_flat(&self) -> bool {
-        self.is_tbase()
-    }
-
     /// The element type of a bag type, if this is one.
     pub fn bag_elem(&self) -> Option<&Type> {
         match self {

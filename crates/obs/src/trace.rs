@@ -169,15 +169,6 @@ impl FlightRecorder {
     pub fn clear(&self) {
         self.inner.lock().expect("recorder lock").traces.clear();
     }
-
-    /// Change the retention capacity, evicting oldest traces if shrinking.
-    pub fn set_capacity(&self, cap: usize) {
-        let mut ring = self.inner.lock().expect("recorder lock");
-        ring.cap = cap.max(1);
-        while ring.traces.len() > ring.cap {
-            ring.traces.pop_front();
-        }
-    }
 }
 
 /// Default retention of the global recorder.

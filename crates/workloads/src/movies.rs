@@ -83,12 +83,6 @@ impl MovieGen {
         }
         delta
     }
-
-    /// A stream of `batches` update batches of `batch_size` insertions each
-    /// (the common data-warehouse-loading shape).
-    pub fn insert_stream(&mut self, batches: usize, batch_size: usize) -> Vec<Bag> {
-        (0..batches).map(|_| self.bag(batch_size)).collect()
-    }
 }
 
 #[cfg(test)]
